@@ -49,6 +49,9 @@ ModeResult run_mode(const nav::graph::Graph& g,
   const auto router = nav::routing::make_router("greedy", g, cache);
   nav::api::RouteServiceOptions options;
   options.shard_by_target = shard_by_target;
+  // The per-pair schedule runs single-lane: concurrent pool tasks would
+  // race on the LRU and make its miss count depend on the pool width.
+  options.parallel = shard_by_target;
   const nav::api::RouteService service(g, cache, scheme, *router, options);
   nav::Timer timer;
   ModeResult mode;

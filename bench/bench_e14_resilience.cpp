@@ -7,10 +7,9 @@
 // retries plus a landmark fallback tier keep >= 95% of pairs served under
 // fail:0.05 + stall:0.05 chaos; the AIMD admission controller converges on
 // its virtual-sojourn SLO under overload and recovers additively when load
-// thins; and a parallel BFS sweep that loses worker lanes mid-sweep still
-// produces bit-identical distance slabs.
+// thins.
 //
-// Three sections:
+// Two sections:
 //   1. E14a — availability surface: fault-spec grid × degraded-mode posture
 //      (tolerate-only vs landmark fallback chain). Every cell is a fresh
 //      faulted stack (the fault schedule's attempt counters replay from
@@ -21,9 +20,6 @@
 //      dyadic virtual pair cost; an overload burst shrinks the window
 //      (p99 over SLO), a paced arrival schedule keeps it growing. Virtual
 //      sojourn quantiles are exact doubles — a pinned surface.
-//   3. E14c — lane loss under ParallelBfs: countdown lane failures fire
-//      mid-sweep and the coordinator covers the failed ranges; the slab
-//      hash must equal the scalar engine's, healthy or degraded.
 //
 // BENCH_e14.json: with --jsonl the harness writes the consolidated
 // nav-bench-trajectory-v1 document (pinned by the bench golden test; the
@@ -58,27 +54,16 @@ std::vector<Pair> mixed_pairs(graph::NodeId n, std::size_t count,
   return pairs;
 }
 
-/// FNV-1a over a distance slab: the bit-identity fingerprint E14c pins.
-std::uint64_t slab_hash(const std::vector<graph::Dist>& slab) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const auto d : slab) {
-    h ^= static_cast<std::uint64_t>(d);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::Harness h("e14", "e14_resilience",
                    "E14 — resilience: fault injection, degraded-mode "
-                   "routing, adaptive admission, lane loss",
+                   "routing, adaptive admission",
                    "bounded retries + a landmark fallback tier keep >= 95% "
                    "of pairs served under fail:0.05+stall:0.05 chaos; the "
                    "AIMD controller tracks its virtual-sojourn SLO under "
-                   "overload and grows the window when load thins; parallel "
-                   "sweeps that lose lanes mid-sweep stay bit-identical",
+                   "overload and grows the window when load thins",
                    argc, argv);
   h.group_by({"faults", "posture"});
 
@@ -272,61 +257,5 @@ int main(int argc, char** argv) {
     std::cout << table.to_ascii();
   }
 
-  // ---- 3. lane loss: parallel sweeps stay bit-identical -------------------
-  if (h.section("E14c: lane loss (ParallelBfs slab identity)")) {
-    const graph::NodeId side = h.quick() ? 48 : 96;
-    const auto g = graph::make_grid2d(side, side);
-    graph::BfsWorkspace scalar;
-    std::vector<graph::Dist> expect(g.num_nodes());
-    scalar.distances_into_scalar(g, 0, expect);
-    const std::uint64_t expect_hash = slab_hash(expect);
-
-    graph::ParallelPolicy policy;
-    policy.num_workers = 4;
-    policy.serial_frontier_cutoff = 1;  // parallel dispatch every level
-    policy.min_diropt_nodes = 1;
-    graph::ParallelBfs sweep(policy);
-    std::vector<graph::Dist> got(g.num_nodes());
-
-    struct Mode {
-      const char* name;
-      std::size_t fail_lane;        // 0 = none
-      std::size_t after_dispatches;  // countdown before the failure fires
-    };
-    const std::vector<Mode> modes = {
-        {"healthy", 0, 0},
-        {"lane3_mid_sweep", 3, 5},
-        {"lane3_and_lane1", 1, 0},  // lane 3 still failed from the prior run
-        {"healed", 0, 0},
-    };
-
-    Table table({"mode", "failed lanes", "slab hash", "identical"});
-    for (const auto& mode : modes) {
-      nav::Timer timer;
-      if (std::string(mode.name) == "healed") sweep.team().heal_lanes();
-      if (mode.fail_lane != 0) {
-        sweep.team().fail_lane(mode.fail_lane, mode.after_dispatches);
-      }
-      sweep.distances_into(g, 0, got);
-      const std::uint64_t got_hash = slab_hash(got);
-      const bool identical = got == expect;
-      NAV_REQUIRE(identical, "lane loss changed a parallel BFS slab");
-
-      table.add_row({mode.name, Table::integer(sweep.team().failed_lanes()),
-                     std::to_string(got_hash), identical ? "yes" : "no"});
-      h.add_cell({{"experiment", std::string("e14_resilience")},
-                  {"mode", std::string(mode.name)},
-                  {"n", static_cast<std::uint64_t>(g.num_nodes())},
-                  {"failed_lanes",
-                   static_cast<std::uint64_t>(sweep.team().failed_lanes())},
-                  {"slab_hash", got_hash},
-                  {"scalar_hash", expect_hash},
-                  {"identical", static_cast<std::uint64_t>(identical ? 1 : 0)},
-                  {"seconds", timer.seconds()}});
-    }
-    std::cout << table.to_ascii()
-              << "(every degraded sweep's slab hashed identical to the "
-                 "scalar engine's)\n";
-  }
   return h.finish();
 }

@@ -282,105 +282,6 @@ void run_bfs_kernel_cells(bench::Harness& h) {
   }
 }
 
-// ---- M2: parallel BFS sweep ------------------------------------------------
-// Hand-timed like M1 (the --benchmark_list_tests golden stays untouched):
-// one scalar-baseline cell plus one cell per worker count, family x size x
-// workers. allocs_per_query is the strict metric — a warm ParallelBfs must
-// never touch the allocator at any width. nodes_per_sec and
-// speedup_vs_scalar are loose: they depend on the machine's core count
-// (compare_bench.py reports them informationally; the 8-core targets are
-// checked on the nightly full run, not gated here). Families pick the two
-// parallel regimes: torus2d keeps the sweep top-down (chunk-claimed frontier
-// farming), gnp8 flips it bottom-up (lane-owned bitmap word ranges).
-void run_parallel_bfs_cells(bench::Harness& h) {
-  using graph::Dist;
-  using graph::NodeId;
-  std::vector<unsigned> exponents{18, 20};
-  if (!h.quick()) exponents.push_back(22);
-  const std::size_t worker_grid[] = {1, 2, 4, 8};
-
-  for (const unsigned e : exponents) {
-    const auto n = NodeId{1} << e;
-    for (const std::string& family :
-         {std::string("torus2d"), std::string("gnp8")}) {
-      Rng rng(h.seed(0xB2F5) ^ e);
-      graph::Graph g;
-      if (family == "torus2d") {
-        const auto side = NodeId{1} << (e / 2);
-        g = graph::make_torus2d(side, n / side);
-      } else {
-        g = graph::make_connected_gnp(n, 8.0 / static_cast<double>(n), rng);
-      }
-      std::vector<Dist> out(g.num_nodes());
-      const std::size_t reps = std::max<std::size_t>(
-          2, (h.quick() ? (std::size_t{1} << 21) : (std::size_t{1} << 23)) / n);
-      auto source_at = [&](std::size_t i) {
-        return static_cast<NodeId>((i * 2654435761u) % g.num_nodes());
-      };
-
-      // Scalar baseline: the production serial path (direction-optimizing
-      // workspace sweep) — the reference every parallel width is scored
-      // against.
-      auto& ws = graph::local_bfs_workspace();
-      auto scalar_once = [&](std::size_t i) {
-        ws.distances_into(g, source_at(i), out);
-        benchmark::DoNotOptimize(out.data());
-      };
-      scalar_once(0);  // warm: workspace growth, graph pages
-      const std::uint64_t scalar_allocs_before = nav::allocation_count();
-      scalar_once(1);
-      const auto scalar_allocs =
-          static_cast<double>(nav::allocation_count() - scalar_allocs_before);
-      nav::Timer scalar_timer;
-      for (std::size_t i = 0; i < reps; ++i) scalar_once(i);
-      const double scalar_rate = static_cast<double>(g.num_nodes()) *
-                                 static_cast<double>(reps) /
-                                 scalar_timer.seconds();
-      h.add_cell({{"family", family},
-                  {"kernel", std::string("scalar")},
-                  {"n", static_cast<double>(g.num_nodes())},
-                  {"workers", 1.0},
-                  {"nodes_per_sec", scalar_rate},
-                  {"allocs_per_query", scalar_allocs},
-                  {"speedup_vs_scalar", 1.0}});
-      std::printf(
-          "  %-7s n=2^%-2u scalar      %9.2f Mnodes/s  allocs/query %3.0f\n",
-          family.c_str(), e, scalar_rate / 1e6, scalar_allocs);
-
-      for (const std::size_t workers : worker_grid) {
-        graph::ParallelPolicy policy;
-        policy.num_workers = workers;
-        graph::ParallelBfs sweep(policy);
-        auto parallel_once = [&](std::size_t i) {
-          sweep.distances_into(g, source_at(i), out);
-          benchmark::DoNotOptimize(out.data());
-        };
-        parallel_once(0);  // warm: lazy lane start + scratch growth
-        const std::uint64_t allocs_before = nav::allocation_count();
-        parallel_once(1);
-        const auto allocs_per_query =
-            static_cast<double>(nav::allocation_count() - allocs_before);
-        nav::Timer timer;
-        for (std::size_t i = 0; i < reps; ++i) parallel_once(i);
-        const double rate = static_cast<double>(g.num_nodes()) *
-                            static_cast<double>(reps) / timer.seconds();
-        const double speedup = scalar_rate > 0.0 ? rate / scalar_rate : 1.0;
-        h.add_cell({{"family", family},
-                    {"kernel", std::string("parallel")},
-                    {"n", static_cast<double>(g.num_nodes())},
-                    {"workers", static_cast<double>(workers)},
-                    {"nodes_per_sec", rate},
-                    {"allocs_per_query", allocs_per_query},
-                    {"speedup_vs_scalar", speedup}});
-        std::printf(
-            "  %-7s n=2^%-2u workers=%-2zu  %9.2f Mnodes/s  allocs/query %3.0f"
-            "  x%.2f\n",
-            family.c_str(), e, workers, rate / 1e6, allocs_per_query, speedup);
-      }
-    }
-  }
-}
-
 // ---- M3: sweep-kind dispatch tallies ---------------------------------------
 // Deterministic STRICT cells: for each family x size a fresh workspace runs a
 // fixed mix of full and bounded sweeps, and the cell records how the engine's
@@ -580,10 +481,6 @@ int main(int argc, char** argv) {
   }
   if (!list_only && h.section("M1: BFS engine kernels (family x size)")) {
     run_bfs_kernel_cells(h);
-  }
-  if (!list_only &&
-      h.section("M2: parallel BFS sweep (family x size x workers)")) {
-    run_parallel_bfs_cells(h);
   }
   if (!list_only &&
       h.section("M3: sweep-kind dispatch tallies (family x size)")) {

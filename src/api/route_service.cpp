@@ -215,7 +215,7 @@ std::vector<routing::RouteResult> RouteService::execute_jobs(
     };
 
     // Wave by wave: prefetch the wave's distance vectors in one batch (one
-    // parallel BFS sweep over the misses, pinned past any eviction), then
+    // BFS per miss, farmed across the pool, pinned past any eviction), then
     // route every shard through its pinned vector via route_resolved —
     // shards never touch the oracle, so exactly one BFS per distinct
     // target regardless of cache capacity, concurrency, or batch order.

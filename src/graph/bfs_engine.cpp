@@ -13,34 +13,17 @@ namespace {
 
 // Process-wide sweep instrumentation. Handles are registered once; every
 // increment afterwards is a wait-free store into the calling thread's shard.
-// ParallelBfs metrics are touched only by the coordinating thread — lane
-// threads stay registry-free so warm parallel sweeps remain zero-allocation.
 struct BfsMetrics {
   obs::Counter sweep_diropt;
   obs::Counter sweep_scalar_full;
   obs::Counter sweep_scalar_bounded;
-  obs::Counter parallel_sweeps;
-  obs::Counter parallel_levels;
-  obs::Counter inline_levels;
-  obs::HistogramHandle frontier_size;
-  obs::HistogramHandle lanes_active;
 
   BfsMetrics()
       : sweep_diropt(obs::default_registry().counter("bfs.sweep_diropt")),
         sweep_scalar_full(
             obs::default_registry().counter("bfs.sweep_scalar_full")),
         sweep_scalar_bounded(
-            obs::default_registry().counter("bfs.sweep_scalar_bounded")),
-        parallel_sweeps(
-            obs::default_registry().counter("parallel_bfs.sweeps")),
-        parallel_levels(
-            obs::default_registry().counter("parallel_bfs.levels_parallel")),
-        inline_levels(
-            obs::default_registry().counter("parallel_bfs.levels_inline")),
-        frontier_size(obs::default_registry().histogram(
-            "parallel_bfs.frontier_size", 0.0, 1 << 16, 64)),
-        lanes_active(obs::default_registry().histogram(
-            "parallel_bfs.lanes_active", 0.0, 64.0, 64)) {}
+            obs::default_registry().counter("bfs.sweep_scalar_bounded")) {}
 };
 
 BfsMetrics& bfs_metrics() {
@@ -383,281 +366,8 @@ BfsWorkspace& local_bfs_workspace() {
   return nav::thread_scratch<BfsWorkspace>();
 }
 
-// ---- multi-worker sweeps -------------------------------------------------
-
 std::size_t ParallelPolicy::resolved_workers() const noexcept {
   return num_workers == 0 ? ThreadPool::default_threads() : num_workers;
-}
-
-ParallelBfs::ParallelBfs(ParallelPolicy policy)
-    : policy_(policy), team_(policy.resolved_workers()) {}
-
-void ParallelBfs::ensure_capacity(std::size_t n, std::size_t words) {
-  if (frontier_.size() < n) frontier_.resize(n);
-  if (front_bits_.size() < words) {
-    front_bits_.resize(words);
-    next_bits_.resize(words);
-    visited_bits_.resize(words);
-  }
-  const std::size_t lanes = team_.lanes();
-  if (lane_stats_.size() < lanes) lane_stats_.resize(lanes);
-  if (lane_offsets_.size() < lanes + 1) lane_offsets_.resize(lanes + 1);
-}
-
-void ParallelBfs::rebuild_frontier(std::size_t words, std::size_t next_count) {
-  frontier_count_ = next_count;
-  if (next_count == 0) return;
-  const std::size_t lanes = team_.lanes();
-  if (next_count < policy_.serial_frontier_cutoff) {
-    // Small frontier: one ascending scan on the coordinating lane.
-    std::size_t pos = 0;
-    for (std::size_t w = 0; w < words; ++w) {
-      std::uint64_t bits = front_bits_[w];
-      while (bits != 0) {
-        const auto bit = static_cast<unsigned>(std::countr_zero(bits));
-        bits &= bits - 1;
-        frontier_[pos++] = static_cast<NodeId>(w * 64 + bit);
-      }
-    }
-    return;
-  }
-  // Deterministic two-pass merge: each lane popcounts its word range, lane 0
-  // prefix-sums the counts into write offsets, then every lane fills its
-  // slice. The result is the ascending-id node list regardless of lane count
-  // or interleaving — the canonical frontier order the determinism tests pin.
-  team_.run([&](std::size_t lane) {
-    const std::size_t w0 = words * lane / lanes;
-    const std::size_t w1 = words * (lane + 1) / lanes;
-    std::size_t count = 0;
-    for (std::size_t w = w0; w < w1; ++w) {
-      count += static_cast<std::size_t>(std::popcount(front_bits_[w]));
-    }
-    lane_offsets_[lane + 1] = count;
-  });
-  lane_offsets_[0] = 0;
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    lane_offsets_[lane + 1] += lane_offsets_[lane];
-  }
-  NAV_ASSERT(lane_offsets_[lanes] == next_count);
-  team_.run([&](std::size_t lane) {
-    const std::size_t w0 = words * lane / lanes;
-    const std::size_t w1 = words * (lane + 1) / lanes;
-    std::size_t pos = lane_offsets_[lane];
-    for (std::size_t w = w0; w < w1; ++w) {
-      std::uint64_t bits = front_bits_[w];
-      while (bits != 0) {
-        const auto bit = static_cast<unsigned>(std::countr_zero(bits));
-        bits &= bits - 1;
-        frontier_[pos++] = static_cast<NodeId>(w * 64 + bit);
-      }
-    }
-  });
-}
-
-void ParallelBfs::distances_into(const Graph& g, NodeId source,
-                                 std::span<Dist> out, Dist radius) {
-  const std::size_t n = g.num_nodes();
-  NAV_REQUIRE(source < n, "BFS source out of range");
-  NAV_REQUIRE(out.size() == n, "distance output size mismatch");
-  // Same radius promotion as the workspace dispatcher: a bound that cannot
-  // bind is treated as unbounded so both engines agree on the cutover.
-  if (radius != kInfDist && n > 0 &&
-      std::uint64_t{radius} >= std::uint64_t{n - 1}) {
-    radius = kInfDist;
-  }
-  const std::size_t lanes = team_.lanes();
-  if (lanes <= 1 || n < 2) {
-    serial_ws_.distances_into(g, source, out, radius);
-    return;
-  }
-
-  const std::size_t words = (n + 63) / 64;
-  ensure_capacity(n, words);
-  const std::uint64_t tail_mask =
-      (n % 64) ? ((std::uint64_t{1} << (n % 64)) - 1) : ~std::uint64_t{0};
-
-  // Parallel out-fill, each lane a contiguous range: on NUMA hosts this is
-  // the first touch of a caller-fresh slab, so pages land near the lanes
-  // that sweep them.
-  Dist* const dist = out.data();
-  team_.run([&](std::size_t lane) {
-    const std::size_t lo = n * lane / lanes;
-    const std::size_t hi = n * (lane + 1) / lanes;
-    std::fill(dist + lo, dist + hi, kInfDist);
-  });
-  std::fill(visited_bits_.begin(), visited_bits_.begin() + words, 0u);
-  std::fill(front_bits_.begin(), front_bits_.begin() + words, 0u);
-
-  dist[source] = 0;
-  set_bit(front_bits_, source);
-  set_bit(visited_bits_, source);
-  frontier_[0] = source;
-  frontier_count_ = 1;
-
-  const bool allow_bottom_up = radius == kInfDist &&
-                               n >= policy_.min_diropt_nodes &&
-                               2 * g.num_edges() >= kDiroptMinDirectedEdges;
-
-  std::uint64_t unexplored = 2 * g.num_edges();
-  std::uint64_t frontier_edges = g.degree(source);
-  bool growing = true;
-  bool bottom_up = false;
-  Dist depth = 0;
-
-  // Coordinator-only instrumentation: lane closures never touch the registry,
-  // so warm parallel sweeps stay zero-allocation and lane code stays lean.
-  // Per-level counts accumulate locally and post once at sweep end.
-  bfs_metrics().parallel_sweeps.inc();
-  std::uint64_t levels_parallel = 0;
-  std::uint64_t levels_inline = 0;
-
-  while (frontier_count_ > 0) {
-    if (depth >= radius) break;  // children would exceed the radius
-    if (allow_bottom_up) {
-      // The scalar engine's Beamer hysteresis, verbatim: flip down only
-      // while the frontier is rich AND growing, flip back once it shrinks
-      // under n/beta. Pure heuristics — output is schedule-independent.
-      if (!bottom_up && growing && frontier_edges > unexplored / kAlpha) {
-        bottom_up = true;
-      } else if (bottom_up && !growing && frontier_count_ < n / kBeta) {
-        bottom_up = false;
-      }
-    }
-
-    std::fill(next_bits_.begin(), next_bits_.begin() + words, 0u);
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      lane_stats_[lane].next_count = 0;
-      lane_stats_[lane].next_edges = 0;
-    }
-    const Dist next_depth = depth + 1;
-
-    if (bottom_up) {
-      // Bottom-up, range-split: each lane owns a contiguous word range of
-      // the bitmaps, testing 64 unvisited candidates per uint64_t word; a
-      // candidate joins the level when any neighbour sits in the frontier
-      // bitmap. All writes (dist, next word) hit lane-owned slots, so the
-      // level is race-free with plain stores.
-      team_.run([&](std::size_t lane) {
-        const std::size_t w0 = words * lane / lanes;
-        const std::size_t w1 = words * (lane + 1) / lanes;
-        std::uint64_t count = 0;
-        std::uint64_t edges = 0;
-        for (std::size_t w = w0; w < w1; ++w) {
-          std::uint64_t unvisited = ~visited_bits_[w];
-          if (w == words - 1) unvisited &= tail_mask;
-          std::uint64_t found = 0;
-          while (unvisited != 0) {
-            const auto bit = static_cast<unsigned>(std::countr_zero(unvisited));
-            unvisited &= unvisited - 1;
-            const auto v = static_cast<NodeId>(w * 64 + bit);
-            for (const NodeId u : g.neighbors(v)) {
-              if (test_bit(front_bits_, u)) {
-                dist[v] = next_depth;
-                found |= std::uint64_t{1} << bit;
-                ++count;
-                edges += g.degree(v);
-                break;
-              }
-            }
-          }
-          if (found != 0) next_bits_[w] = found;
-        }
-        lane_stats_[lane].next_count = count;
-        lane_stats_[lane].next_edges = edges;
-      });
-    } else if (frontier_count_ < policy_.serial_frontier_cutoff) {
-      // Tiny level: fork/join overhead would dominate, expand inline.
-      std::uint64_t count = 0;
-      std::uint64_t edges = 0;
-      for (std::size_t i = 0; i < frontier_count_; ++i) {
-        const NodeId u = frontier_[i];
-        for (const NodeId v : g.neighbors(u)) {
-          if (dist[v] == kInfDist) {
-            dist[v] = next_depth;
-            set_bit(next_bits_, v);
-            ++count;
-            edges += g.degree(v);
-          }
-        }
-      }
-      lane_stats_[0].next_count = count;
-      lane_stats_[0].next_edges = edges;
-    } else {
-      // Top-down, frontier-chunked: lanes claim fixed-size chunks off a
-      // shared counter (the parallel_for_dynamic idiom) and claim nodes
-      // with a CAS on the output distance — the winner also publishes the
-      // node into the next-frontier bitmap with an atomic fetch_or. Every
-      // winner writes the same value (next_depth), so the output cannot
-      // depend on which lane wins a race.
-      chunk_next_.store(0, std::memory_order_relaxed);
-      team_.run([&](std::size_t lane) {
-        constexpr std::size_t kChunk = 64;
-        std::uint64_t count = 0;
-        std::uint64_t edges = 0;
-        while (true) {
-          const std::size_t begin =
-              chunk_next_.fetch_add(kChunk, std::memory_order_relaxed);
-          if (begin >= frontier_count_) break;
-          const std::size_t end = std::min(frontier_count_, begin + kChunk);
-          for (std::size_t i = begin; i < end; ++i) {
-            const NodeId u = frontier_[i];
-            for (const NodeId v : g.neighbors(u)) {
-              std::atomic_ref<Dist> slot(dist[v]);
-              if (slot.load(std::memory_order_relaxed) != kInfDist) continue;
-              Dist expected = kInfDist;
-              if (slot.compare_exchange_strong(expected, next_depth,
-                                               std::memory_order_relaxed)) {
-                std::atomic_ref<std::uint64_t>(next_bits_[v >> 6])
-                    .fetch_or(std::uint64_t{1} << (v & 63),
-                              std::memory_order_relaxed);
-                ++count;
-                edges += g.degree(v);
-              }
-            }
-          }
-        }
-        lane_stats_[lane].next_count = count;
-        lane_stats_[lane].next_edges = edges;
-      });
-    }
-
-    const bool expanded_inline =
-        !bottom_up && frontier_count_ < policy_.serial_frontier_cutoff;
-    std::size_t next_count = 0;
-    std::uint64_t next_edges = 0;
-    std::size_t active_lanes = 0;
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      next_count += static_cast<std::size_t>(lane_stats_[lane].next_count);
-      next_edges += lane_stats_[lane].next_edges;
-      if (lane_stats_[lane].next_count > 0) ++active_lanes;
-    }
-    if (expanded_inline) {
-      ++levels_inline;
-    } else {
-      ++levels_parallel;
-      bfs_metrics().lanes_active.observe(static_cast<double>(active_lanes));
-    }
-    bfs_metrics().frontier_size.observe(
-        static_cast<double>(frontier_count_));
-    // The level barrier has passed: fold the level into visited, make its
-    // bitmap the new frontier, and rebuild the node list in ascending order.
-    for (std::size_t w = 0; w < words; ++w) visited_bits_[w] |= next_bits_[w];
-    std::swap(front_bits_, next_bits_);
-    const std::size_t prev_count = frontier_count_;
-    rebuild_frontier(words, next_count);
-
-    unexplored -= std::min<std::uint64_t>(unexplored, frontier_edges);
-    growing = next_count > prev_count;
-    frontier_edges = next_edges;
-    ++depth;
-  }
-
-  if (levels_parallel > 0) bfs_metrics().parallel_levels.inc(levels_parallel);
-  if (levels_inline > 0) bfs_metrics().inline_levels.inc(levels_inline);
-}
-
-ParallelBfs& shared_parallel_bfs() {
-  return nav::thread_scratch<ParallelBfs>();
 }
 
 std::vector<Dist> bfs_distances_reference(const Graph& g, NodeId source,

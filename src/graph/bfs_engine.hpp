@@ -49,14 +49,12 @@
 // A workspace is NOT re-entrant: one traversal at a time per instance.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "graph/bfs.hpp"
 #include "graph/graph.hpp"
-#include "runtime/worker_team.hpp"
 
 namespace nav::graph {
 
@@ -176,107 +174,19 @@ class BfsWorkspace {
 /// reference across a point where the same thread may re-enter the engine.
 [[nodiscard]] BfsWorkspace& local_bfs_workspace();
 
-// ---- multi-worker sweeps -------------------------------------------------
+// ---- parallel policy -----------------------------------------------------
 
 /// How much of the machine a parallel consumer may use. The one knob the
-/// parallel sweep, the DistanceMatrix build, and the oracle prefetch waves
-/// all hang off: num_workers == 0 means hardware concurrency, 1 forces the
-/// scalar/serial path (the differential reference schedule). The remaining
-/// fields are adaptivity thresholds with production defaults; tests lower
-/// them to force every parallel code path onto small graphs.
+/// DistanceMatrix build and the oracle prefetch waves hang off: both farm
+/// whole rows (one scalar sweep per lane over distinct targets) across the
+/// global thread pool, capped at resolved_workers() lanes.
 struct ParallelPolicy {
   /// Worker lanes (0 = one per hardware thread; 1 = serial).
   std::size_t num_workers = 0;
-  /// Levels with fewer frontier nodes than this expand inline on the
-  /// coordinating lane — fork/join costs more than it saves on tiny levels.
-  std::size_t serial_frontier_cutoff = 1024;
-  /// Graphs under this many nodes skip the bottom-up machinery entirely
-  /// (mirrors the scalar engine's direction-optimizing gate).
-  std::size_t min_diropt_nodes = 1024;
 
   /// num_workers resolved against the hardware (always >= 1).
   [[nodiscard]] std::size_t resolved_workers() const noexcept;
-
-  /// The serial schedule: the differential-test and bench baseline.
-  [[nodiscard]] static ParallelPolicy serial() noexcept {
-    ParallelPolicy policy;
-    policy.num_workers = 1;
-    return policy;
-  }
 };
-
-/// Multi-worker direction-optimizing BFS over a private WorkerTeam.
-///
-/// One sweep fans its levels across policy.num_workers lanes: top-down
-/// levels are frontier-chunked (lanes claim fixed-size chunks off a shared
-/// atomic counter — the parallel_for_dynamic idiom — and claim nodes with a
-/// CAS on the output distance), bottom-up levels are range-split over a
-/// bitmap frontier (each lane owns a contiguous word range and tests 64
-/// unvisited candidates per uint64_t word, scanning each candidate's
-/// adjacency for a frontier parent). Every level ends at a barrier and the
-/// next frontier is rebuilt from its bitmap in ascending node order — a
-/// deterministic merge, so internal state never depends on lane
-/// interleaving.
-///
-/// Determinism: distances are level-synchronous, so the output is
-/// bit-identical to BfsWorkspace::distances_into_scalar for EVERY worker
-/// count, radius, and graph — the parallel_bfs differential suite pins this
-/// across all registered families. With one resolved worker the sweep
-/// delegates to the scalar engine outright.
-///
-/// A warm instance performs zero heap allocations per sweep (scratch is
-/// grow-only, the team dispatches through raw function pointers); the only
-/// exempt moment is the lazy worker-team startup on the first parallel run.
-/// Not re-entrant: one sweep at a time per instance. Instances are safe to
-/// use from inside ThreadPool tasks (the team owns private threads).
-class ParallelBfs {
- public:
-  explicit ParallelBfs(ParallelPolicy policy = {});
-
-  /// Lanes this instance fans out to (>= 1).
-  [[nodiscard]] std::size_t workers() const noexcept { return team_.lanes(); }
-
-  /// The underlying fork-join team — exposed for lane-failure injection
-  /// (WorkerTeam::fail_lane) in resilience tests and benches.
-  [[nodiscard]] WorkerTeam& team() noexcept { return team_; }
-  [[nodiscard]] const ParallelPolicy& policy() const noexcept {
-    return policy_;
-  }
-
-  /// Single-source distances into out (size n; unreached entries keep
-  /// kInfDist), frontier-bounded when radius binds — the parallel equivalent
-  /// of BfsWorkspace::distances_into, bit-identical to it (and to the scalar
-  /// reference) at every worker count.
-  void distances_into(const Graph& g, NodeId source, std::span<Dist> out,
-                      Dist radius = kInfDist);
-
- private:
-  struct LaneStats {
-    std::uint64_t next_count = 0;
-    std::uint64_t next_edges = 0;
-    char pad[48];  // keep lanes off each other's cache line
-  };
-
-  void ensure_capacity(std::size_t n, std::size_t words);
-  void rebuild_frontier(std::size_t words, std::size_t next_count);
-
-  ParallelPolicy policy_;
-  WorkerTeam team_;
-  BfsWorkspace serial_ws_;  // the one-worker / small-graph delegate
-
-  std::vector<NodeId> frontier_;  // current frontier, ascending node order
-  std::size_t frontier_count_ = 0;
-  std::vector<std::uint64_t> front_bits_, next_bits_, visited_bits_;
-  std::vector<LaneStats> lane_stats_;
-  std::vector<std::size_t> lane_offsets_;  // frontier-fill write positions
-  std::atomic<std::size_t> chunk_next_{0};
-};
-
-/// Checkout pool of shared ParallelBfs instances at the default (hardware)
-/// policy — for consumers that need an occasional parallel sweep without
-/// owning a worker team (oracle prefetch waves). Steady-state checkouts
-/// allocate nothing; instances keep their teams and scratch warm.
-[[nodiscard]] ParallelBfs& shared_parallel_bfs();
 
 // ---- pre-engine reference implementations -------------------------------
 // The seed repo's allocating scalar kernels, kept verbatim as the

@@ -263,14 +263,6 @@ DistVecPtr TargetDistanceCache::compute_row(NodeId target) const {
   return {std::move(row), n};
 }
 
-DistVecPtr TargetDistanceCache::compute_row_with(ParallelBfs& engine,
-                                                 NodeId target) const {
-  const std::size_t n = graph_.num_nodes();
-  std::shared_ptr<Dist> row = acquire_slot();
-  engine.distances_into(graph_, target, {row.get(), n});
-  return {std::move(row), n};
-}
-
 // ---- narrow-width internals -----------------------------------------------
 
 std::shared_ptr<Dist> TargetDistanceCache::acquire_wide_locked() const {
@@ -578,34 +570,23 @@ void TargetDistanceCache::narrow_prefetch_into(
   oracle_metrics().wave_misses.observe(
       static_cast<double>(scratch.missing.size()));
 
-  // Pass 2 (no lock): BFS + pack each distinct miss, adaptive in the policy.
-  // Saturation is flagged (pool tasks are noexcept by policy) and thrown by
-  // the coordinator after the fan-out.
+  // Pass 2 (no lock): BFS + pack each distinct miss, rows farmed across
+  // the pool. Saturation is flagged (pool tasks are noexcept by policy) and
+  // thrown by the coordinator after the fan-out. An all-hit wave skips the
+  // call: building its std::function would allocate.
   std::atomic<bool> saturated{false};
-  const auto fill = [&](std::size_t k) {
-    const std::span<Dist> wide{scratch.wide_slots[k].get(), n};
-    local_bfs_workspace().distances_into(graph_, scratch.missing[k], wide);
-    if (narrow_row(wide, width_, scratch.packed_slots[k].get())) {
-      saturated.store(true, std::memory_order_relaxed);
-    }
-  };
-  const std::size_t workers = policy_.resolved_workers();
-  if (workers > 1 && scratch.missing.size() >= workers) {
-    nav::parallel_for_dynamic(0, scratch.missing.size(), fill, workers);
-  } else if (workers > 1 && !scratch.missing.empty()) {
-    // Narrow wave: each miss as one multi-worker sweep; packing stays on
-    // the coordinator.
-    std::lock_guard engine_lock(engine_mutex_);
-    if (engine_ == nullptr) engine_ = std::make_unique<ParallelBfs>(policy_);
-    for (std::size_t k = 0; k < scratch.missing.size(); ++k) {
-      const std::span<Dist> wide{scratch.wide_slots[k].get(), n};
-      engine_->distances_into(graph_, scratch.missing[k], wide);
-      if (narrow_row(wide, width_, scratch.packed_slots[k].get())) {
-        saturated.store(true, std::memory_order_relaxed);
-      }
-    }
-  } else {
-    for (std::size_t k = 0; k < scratch.missing.size(); ++k) fill(k);
+  if (!scratch.missing.empty()) {
+    nav::parallel_for_dynamic(
+        0, scratch.missing.size(),
+        [&](std::size_t k) {
+          const std::span<Dist> wide{scratch.wide_slots[k].get(), n};
+          local_bfs_workspace().distances_into(graph_, scratch.missing[k],
+                                               wide);
+          if (narrow_row(wide, width_, scratch.packed_slots[k].get())) {
+            saturated.store(true, std::memory_order_relaxed);
+          }
+        },
+        policy_.resolved_workers());
   }
   if (saturated.load(std::memory_order_relaxed)) {
     scratch.wide_slots.clear();
@@ -690,30 +671,18 @@ void TargetDistanceCache::prefetch_into(std::span<const NodeId> targets,
   oracle_metrics().wave_misses.observe(
       static_cast<double>(scratch.missing.size()));
 
-  // Pass 2 (no lock): BFS the distinct misses, adaptively in the policy.
+  // Pass 2 (no lock): farm the distinct misses' rows across the pool, one
+  // scalar sweep each — the batched-prefetch win over miss-by-miss
+  // distances_to. An all-hit wave skips the call: building its
+  // std::function would allocate.
   auto& fresh = scratch.fresh;
   fresh.clear();
   fresh.resize(scratch.missing.size());
-  const std::size_t workers = policy_.resolved_workers();
-  if (workers > 1 && scratch.missing.size() >= workers) {
-    // Wide wave: farm whole rows across the pool, one scalar sweep each —
-    // this is the batched-prefetch win over miss-by-miss distances_to.
+  if (!scratch.missing.empty()) {
     nav::parallel_for_dynamic(
         0, scratch.missing.size(),
         [&](std::size_t k) { fresh[k] = compute_row(scratch.missing[k]); },
-        workers);
-  } else if (workers > 1 && !scratch.missing.empty()) {
-    // Narrow wave: fewer misses than workers, so row farming would idle
-    // most lanes — run each miss as one multi-worker sweep instead.
-    std::lock_guard engine_lock(engine_mutex_);
-    if (engine_ == nullptr) engine_ = std::make_unique<ParallelBfs>(policy_);
-    for (std::size_t k = 0; k < scratch.missing.size(); ++k) {
-      fresh[k] = compute_row_with(*engine_, scratch.missing[k]);
-    }
-  } else {
-    for (std::size_t k = 0; k < scratch.missing.size(); ++k) {
-      fresh[k] = compute_row(scratch.missing[k]);
-    }
+        policy_.resolved_workers());
   }
 
   // Pass 3 (under the lock): install the new vectors, newest-first LRU.

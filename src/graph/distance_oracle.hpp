@@ -251,14 +251,13 @@ class TargetDistanceCache final : public DistanceOracle {
   [[nodiscard]] Dist distance(NodeId u, NodeId target) const override;
   [[nodiscard]] DistVecPtr distances_to(NodeId target) const override;
 
-  /// Batched miss handling, adaptive in the policy: a wave with at least as
-  /// many distinct misses as workers farms whole rows across the global
-  /// thread pool (callers must therefore not invoke this from inside a pool
-  /// task); a narrower wave runs each miss as one multi-worker ParallelBfs
-  /// sweep instead, so a single cold target still saturates the machine.
-  /// Resident targets are bumped, not recomputed, and a warm all-hit wave
-  /// performs ZERO heap allocations (dedup runs on thread-pooled scratch,
-  /// pins are refcount copies). Returned pins outlive eviction, so a batch
+  /// Batched miss handling: the wave's distinct misses are farmed as whole
+  /// rows, one scalar sweep per lane, across the global thread pool (capped
+  /// by the policy; a single miss runs inline on the caller). Callers must
+  /// therefore not invoke this from inside a pool task. Resident targets
+  /// are bumped, not recomputed, and a warm all-hit wave performs ZERO heap
+  /// allocations (dedup runs on thread-pooled scratch, pins are refcount
+  /// copies). Returned pins outlive eviction, so a batch
   /// larger than the capacity is still served correctly — the LRU just ends
   /// at its capacity. (Pins in excess of the arena budget spill to plain
   /// heap rows; they free on release rather than recycling.)
@@ -309,11 +308,6 @@ class TargetDistanceCache final : public DistanceOracle {
   /// pinned) on the calling thread's workspace.
   [[nodiscard]] DistVecPtr compute_row(NodeId target) const;
 
-  /// The same, but the sweep itself fans out over `engine`'s worker team —
-  /// the narrow-wave prefetch path.
-  [[nodiscard]] DistVecPtr compute_row_with(ParallelBfs& engine,
-                                            NodeId target) const;
-
   /// Acquires the row storage (arena slot, heap spill fallback).
   [[nodiscard]] std::shared_ptr<Dist> acquire_slot() const;
 
@@ -354,11 +348,6 @@ class TargetDistanceCache final : public DistanceOracle {
   mutable std::list<NodeId> wide_lru_;
   mutable std::unordered_map<NodeId, Entry> cache_;
   mutable std::size_t hits_ = 0, misses_ = 0;
-  // Lazily-built multi-worker engine for narrow prefetch waves (fewer
-  // misses than workers). ParallelBfs is not re-entrant, so concurrent
-  // narrow waves serialise on engine_mutex_ — never held with mutex_.
-  mutable std::mutex engine_mutex_;
-  mutable std::unique_ptr<ParallelBfs> engine_;
 };
 
 }  // namespace nav::graph

@@ -55,12 +55,12 @@ LandmarkOracle::LandmarkOracle(const Graph& g, LandmarkOptions options)
   const std::size_t n = g.num_nodes();
   const std::size_t k = std::min(options_.k, n);
   rows_ = std::shared_ptr<Dist[]>(new Dist[k * n]);
-  ParallelBfs engine(options_.policy);
+  BfsWorkspace& ws = local_bfs_workspace();
 
   if (options_.selection == LandmarkSelection::kDegree) {
     landmarks_ = select_by_degree(g, k);
     for (std::size_t i = 0; i < k; ++i) {
-      engine.distances_into(g, landmarks_[i], {rows_.get() + i * n, n});
+      ws.distances_into(g, landmarks_[i], {rows_.get() + i * n, n});
     }
     return;
   }
@@ -72,7 +72,7 @@ LandmarkOracle::LandmarkOracle(const Graph& g, LandmarkOptions options)
   // components win the argmax and get their own landmark first.
   landmarks_.reserve(k);
   landmarks_.push_back(max_degree_node(g));
-  engine.distances_into(g, landmarks_[0], {rows_.get(), n});
+  ws.distances_into(g, landmarks_[0], {rows_.get(), n});
   std::vector<Dist> min_dist(rows_.get(), rows_.get() + n);
   for (std::size_t i = 1; i < k; ++i) {
     NodeId next = 0;
@@ -89,7 +89,7 @@ LandmarkOracle::LandmarkOracle(const Graph& g, LandmarkOptions options)
     }
     landmarks_.push_back(next);
     Dist* const row = rows_.get() + i * n;
-    engine.distances_into(g, next, {row, n});
+    ws.distances_into(g, next, {row, n});
     for (NodeId u = 0; u < n; ++u) {
       min_dist[u] = std::min(min_dist[u], row[u]);
     }

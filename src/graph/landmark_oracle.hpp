@@ -58,8 +58,6 @@ struct LandmarkOptions {
   Dist exact_radius = 2;
   /// LRU capacity for materialised target rows.
   std::size_t row_cache_slots = 64;
-  /// Worker cap for the k construction sweeps.
-  ParallelPolicy policy;
 };
 
 /// Approximate distance oracle: min-over-landmarks triangle upper bound with

@@ -108,7 +108,6 @@ std::unique_ptr<DistanceOracle> make_oracle(const std::string& spec,
     if (options.k == 0) {
       throw std::invalid_argument("landmark k must be >= 1: " + spec);
     }
-    options.policy = config.policy;
     if (tokens.size() == 3) {
       if (tokens[2] == "degree") {
         options.selection = LandmarkSelection::kDegree;

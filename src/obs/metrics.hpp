@@ -45,7 +45,7 @@
 // registry presence at every call site). Handles must not outlive their
 // Registry. default_registry() is the process-wide instance (never
 // destroyed) that library-level instrumentation — BFS engine, distance
-// oracles, worker team — records into.
+// oracles — records into.
 #pragma once
 
 /// \file
@@ -246,7 +246,7 @@ class Registry {
 };
 
 /// The process-wide registry library-level instrumentation records into
-/// (BFS engine sweep kinds, oracle hit/miss, worker-team dispatches).
+/// (BFS engine sweep kinds, oracle hit/miss).
 /// Never destroyed, so handles and thread shards stay valid through exit.
 [[nodiscard]] Registry& default_registry();
 

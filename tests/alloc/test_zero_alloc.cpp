@@ -5,11 +5,12 @@
 // Measurement discipline: warm every code path first (workspace growth,
 // cache fill, thread-locals), snapshot nav::allocation_count(), run the
 // steady-state operation, snapshot again — and only then assert (gtest
-// macros allocate). All tests stay single-threaded so no other thread can
-// perturb the counter inside a measurement window.
+// macros allocate). Pool threads run only inside the operation under test,
+// so no unrelated thread can perturb the counter inside a measurement window.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <latch>
 #include <vector>
 
 #include "core/uniform_scheme.hpp"
@@ -23,6 +24,7 @@
 #include "resilience/faulty_oracle.hpp"
 #include "routing/greedy_router.hpp"
 #include "runtime/alloc_counter.hpp"
+#include "runtime/thread_pool.hpp"
 
 NAV_DEFINE_ALLOC_COUNTER();
 
@@ -128,81 +130,77 @@ TEST(ZeroAlloc, ArenaRecyclingServesMissesWithoutRowAllocations) {
   EXPECT_LT(bytes_after - bytes_before, 4096u * sizeof(Dist));
 }
 
-TEST(ZeroAlloc, WarmParallelSweepAllocatesNothing) {
-  // The multi-worker sweep inherits the engine's allocation contract: the
-  // worker-team startup and scratch growth happen on the FIRST sweep (the
-  // one exempt moment); every warm sweep after that — parallel out-fill,
-  // chunk-claimed top-down, bottom-up words, two-pass frontier rebuild —
-  // must never touch the allocator, on any lane.
-  const auto g = make_grid2d(48, 48);
-  ParallelPolicy policy;
-  policy.num_workers = 4;
-  policy.serial_frontier_cutoff = 1;  // force the parallel code paths
-  policy.min_diropt_nodes = 1;
-  ParallelBfs sweep(policy);
-  std::vector<Dist> out(g.num_nodes());
-  sweep.distances_into(g, 0, out);  // warm: lazy thread start + scratch
-  sweep.distances_into(g, 1, out, 7);
-
-  const std::uint64_t before = nav::allocation_count();
-  for (NodeId s = 0; s < 16; ++s) {
-    sweep.distances_into(g, s, out);      // full sweep, all parallel levels
-    sweep.distances_into(g, s, out, 6);   // bounded sweep
-  }
-  const std::uint64_t after = nav::allocation_count();
-  EXPECT_EQ(after - before, 0u)
-      << "a warm ParallelBfs must perform zero heap allocations per sweep";
-}
-
 TEST(ZeroAlloc, WarmPrefetchWaveAllocatesNothing) {
   // An all-hit prefetch wave is the oracle's steady state under RouteService:
   // dedup runs on grow-only thread scratch, residents are refcount copies
-  // into a caller-reused vector — nothing may reach the allocator.
+  // into a caller-reused vector, and with no misses the pool fan-out is
+  // skipped — nothing may reach the allocator, at the default (parallel)
+  // policy and on narrow storage alike.
   const auto g = make_grid2d(40, 40);
-  TargetDistanceCache cache(g, 8, ParallelPolicy::serial());
-  const std::vector<NodeId> wave{5, 9, 13, 5, 21, 9};
-  std::vector<DistVecPtr> pinned;
-  cache.prefetch_into(wave, pinned);  // warm: misses, scratch, out growth
-  cache.prefetch_into(wave, pinned);  // warm: the all-hit shape itself
+  for (const DistWidth width : {DistWidth::kU32, DistWidth::kU8}) {
+    TargetDistanceCache cache(g, 8, {}, width);
+    const std::vector<NodeId> wave{5, 9, 13, 5, 21, 9};
+    std::vector<DistVecPtr> pinned;
+    cache.prefetch_into(wave, pinned);  // warm: misses, scratch, out growth
+    cache.prefetch_into(wave, pinned);  // warm: the all-hit shape itself
 
-  const std::uint64_t before = nav::allocation_count();
-  for (int i = 0; i < 200; ++i) cache.prefetch_into(wave, pinned);
-  const std::uint64_t after = nav::allocation_count();
-  EXPECT_EQ(after - before, 0u)
-      << "a resident prefetch wave must perform zero heap allocations";
-  EXPECT_EQ(cache.misses(), 4u);  // only the first wave's distinct targets
+    const std::uint64_t before = nav::allocation_count();
+    for (int i = 0; i < 200; ++i) cache.prefetch_into(wave, pinned);
+    const std::uint64_t after = nav::allocation_count();
+    EXPECT_EQ(after - before, 0u)
+        << width_token(width)
+        << ": a resident prefetch wave must perform zero heap allocations";
+    EXPECT_EQ(cache.misses(), 4u);  // only the first wave's distinct targets
+  }
 }
 
 TEST(ZeroAlloc, ParallelMissWavesRecycleArenaRows) {
-  // Narrow waves (fewer misses than workers) run each miss as one
-  // multi-worker sweep; the row must still come from a recycled arena slot,
-  // never a fresh heap block. Bookkeeping per miss stays O(1) (LRU node,
-  // map node, slot control block) — the byte counter proves no n-sized row
-  // was ever heap-spilled.
+  // Miss waves farm their rows across the pool: a 1-miss wave runs inline on
+  // the caller, a 2-miss wave on two pool lanes. Either way every row must
+  // come from a recycled arena slot, never a fresh heap block. Bookkeeping
+  // per wave stays O(1) (LRU and map nodes, slot control blocks, the
+  // fan-out's task closures), so the byte counter proves no n-sized row was
+  // ever heap-spilled. 1-miss waves run on a full cache (the arena's spare
+  // slot covers the row computed before the eviction); 2-miss waves start
+  // from a cleared cache, since a full one has only that one spare.
   const auto g = make_path(4096);
   ParallelPolicy policy;
   policy.num_workers = 2;
-  policy.serial_frontier_cutoff = 1;
-  policy.min_diropt_nodes = 1;
   TargetDistanceCache cache(g, 2, policy);
   std::vector<DistVecPtr> pinned;
-  std::vector<NodeId> wave(1);
-  for (NodeId t = 0; t < 3; ++t) {  // warm: team start, spare slot, scratch
-    wave[0] = t;
-    cache.prefetch_into(wave, pinned);
+  // Warm every pool thread's BFS workspace (its first sweep grows the queue
+  // and bitmaps): the latch holds each task until all have started, so each
+  // pool thread runs exactly one.
+  auto& pool = nav::global_pool();
+  std::latch all_started(static_cast<std::ptrdiff_t>(pool.thread_count()));
+  for (std::size_t i = 0; i < pool.thread_count(); ++i) {
+    pool.submit([&] {
+      all_started.arrive_and_wait();
+      std::vector<Dist> row(g.num_nodes());
+      local_bfs_workspace().distances_into(g, 0, row);
+    });
   }
-  pinned.clear();  // drop the last pin so its slot recycles
-  const std::uint64_t count_before = nav::allocation_count();
-  const std::uint64_t bytes_before = nav::allocation_bytes();
-  for (NodeId t = 3; t < 40; ++t) {
-    wave[0] = t;
-    cache.prefetch_into(wave, pinned);  // miss, evict, recycle — every wave
-    pinned.clear();
+  pool.wait_idle();
+  for (const std::size_t misses : {std::size_t{1}, std::size_t{2}}) {
+    std::vector<NodeId> wave(misses);
+    NodeId next = 0;
+    const auto run_wave = [&] {
+      if (misses > 1) cache.clear();
+      for (NodeId& t : wave) t = next++;
+      cache.prefetch_into(wave, pinned);  // miss, evict, recycle
+      pinned.clear();  // drop the pins so their slots recycle
+    };
+    cache.clear();
+    for (int i = 0; i < 3; ++i) run_wave();  // warm: spare slot, scratch
+    const std::uint64_t count_before = nav::allocation_count();
+    const std::uint64_t bytes_before = nav::allocation_bytes();
+    for (int i = 0; i < 16; ++i) run_wave();
+    const std::uint64_t count_after = nav::allocation_count();
+    const std::uint64_t bytes_after = nav::allocation_bytes();
+    EXPECT_LE(count_after - count_before, 16u * 12u) << misses << "-miss waves";
+    EXPECT_LT(bytes_after - bytes_before, 4096u * sizeof(Dist))
+        << misses << "-miss waves";
   }
-  const std::uint64_t count_after = nav::allocation_count();
-  const std::uint64_t bytes_after = nav::allocation_bytes();
-  EXPECT_LE(count_after - count_before, 37u * 4u);
-  EXPECT_LT(bytes_after - bytes_before, 4096u * sizeof(Dist));
 }
 
 TEST(ZeroAlloc, WarmNarrowCacheHitAllocatesNothing) {

@@ -2,12 +2,26 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <thread>
+#include <vector>
 
 #include "graph/generators.hpp"
 
 namespace nav::graph {
 namespace {
+
+constexpr std::size_t kWorkerCounts[] = {1, 2, 3, 8};
+
+std::uint64_t fnv1a(std::span<const Dist> data) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(data.data());
+  for (std::size_t i = 0; i < data.size_bytes(); ++i) {
+    h ^= bytes[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
 
 TEST(DistanceMatrix, MatchesBfs) {
   const auto g = make_grid2d(5, 5);
@@ -133,6 +147,91 @@ TEST(TargetCache, ConcurrentAccessConsistent) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+TEST(ParallelPolicy, PolicyResolution) {
+  EXPECT_GE(ParallelPolicy{}.resolved_workers(), 1u);
+  ParallelPolicy two;
+  two.num_workers = 2;
+  EXPECT_EQ(two.resolved_workers(), 2u);
+}
+
+TEST(DistanceMatrixDeterminism, SlabHashIndependentOfWorkerCount) {
+  Rng rng(0xD57);
+  const Graph g = make_connected_gnp(500, 6.0 / 500.0, rng);
+  std::uint64_t reference_hash = 0;
+  for (const std::size_t workers : kWorkerCounts) {
+    ParallelPolicy policy;
+    policy.num_workers = workers;
+    const DistanceMatrix dm(g, policy);
+    const std::uint64_t h = fnv1a(dm.slab());
+    if (workers == kWorkerCounts[0]) {
+      reference_hash = h;
+    } else {
+      ASSERT_EQ(h, reference_hash) << "workers=" << workers;
+    }
+  }
+}
+
+TEST(DistanceMatrixDeterminism, RepeatedBuildsAndRebuildsHashIdentical) {
+  Rng rng(0xD58);
+  const Graph g = make_connected_gnp(400, 5.0 / 400.0, rng);
+  ParallelPolicy policy;
+  policy.num_workers = 3;
+  const DistanceMatrix first(g, policy);
+  const std::uint64_t reference_hash = fnv1a(first.slab());
+  for (int run = 0; run < 3; ++run) {
+    DistanceMatrix dm(g, policy);
+    ASSERT_EQ(fnv1a(dm.slab()), reference_hash) << "build " << run;
+    dm.rebuild_all(g);
+    ASSERT_EQ(fnv1a(dm.slab()), reference_hash) << "rebuild " << run;
+    const std::vector<NodeId> some{0, 13, 399, 200};
+    dm.rebuild_rows(g, some);
+    ASSERT_EQ(fnv1a(dm.slab()), reference_hash) << "row rebuild " << run;
+  }
+}
+
+TEST(TargetDistanceCachePolicy, PrefetchWavesMatchScalarRowsAtEveryWidth) {
+  Rng rng(0xCA9);
+  const Graph g = make_connected_gnp(800, 5.0 / 800.0, rng);
+  BfsWorkspace scalar;
+  std::vector<Dist> expect(g.num_nodes());
+  // Every wave shape goes through the same row farm: one miss runs inline
+  // on the caller, two misses take two pool lanes, and the wide wave (with
+  // duplicates) spreads over all of them.
+  const std::vector<std::vector<NodeId>> waves{
+      {3}, {5, 7}, {10, 20, 30, 40, 50, 60, 70, 80, 20, 10}};
+  for (const DistWidth width :
+       {DistWidth::kU8, DistWidth::kU16, DistWidth::kU32}) {
+    for (const std::size_t workers : kWorkerCounts) {
+      ParallelPolicy policy;
+      policy.num_workers = workers;
+      TargetDistanceCache cache(g, 16, policy, width);
+      std::vector<DistVecPtr> rows;
+      for (const auto& wave : waves) {
+        cache.prefetch_into(wave, rows);
+        ASSERT_EQ(rows.size(), wave.size());
+        for (std::size_t i = 0; i < wave.size(); ++i) {
+          scalar.distances_into_scalar(g, wave[i], expect);
+          ASSERT_TRUE(*rows[i] == std::span<const Dist>(expect))
+              << width_token(width) << " workers=" << workers
+              << " target=" << wave[i];
+        }
+      }
+      EXPECT_EQ(cache.misses(), 11u) << width_token(width);
+      // Duplicates in the wide wave share the first occurrence's pin.
+      EXPECT_EQ(rows[8], rows[1]);
+      EXPECT_EQ(rows[9], rows[0]);
+      // An all-hit repeat serves the same rows from residency.
+      std::vector<DistVecPtr> again;
+      cache.prefetch_into(waves.back(), again);
+      for (std::size_t i = 0; i < again.size(); ++i) {
+        ASSERT_EQ(again[i], rows[i])
+            << width_token(width) << " workers=" << workers << " i=" << i;
+      }
+      EXPECT_EQ(cache.misses(), 11u) << width_token(width);
+    }
+  }
 }
 
 }  // namespace
