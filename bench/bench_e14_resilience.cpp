@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
         }
         const api::RouteService service(g, *oracle, scheme.get(), *router,
                                         options);
-        const auto report = service.route_batch_report(pairs, Rng(42));
+        const auto report = service.route_batch(pairs, Rng(42));
         NAV_REQUIRE(report.results.size() == pairs.size(),
                     "a faulted batch did not complete");
         const double availability =

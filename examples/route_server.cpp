@@ -315,12 +315,20 @@ int main(int argc, char** argv) try {
               << stats.rows_rebuilt << " rows rebuilt, " << stats.full_flushes
               << " full flushes\n";
   }
-  const auto totals = service.totals();
-  std::cout << "service totals: " << totals.batches << " batches, "
-            << totals.pairs << " routes, "
-            << Table::num(totals.seconds, 2) << "s batch execution, "
-            << Table::num(static_cast<double>(totals.pairs) /
-                              std::max(totals.seconds, 1e-9),
+  // Executed batches and pairs from the run's queue stats; the execution
+  // seconds from the service's route_service.exec_ms histogram (admission
+  // drops never execute).
+  const std::size_t executed_pairs = report.queue.submitted_pairs -
+                                     report.queue.shed_pairs -
+                                     report.queue.rejected_pairs;
+  const double exec_seconds =
+      service.metrics().scrape().find_histogram("route_service.exec_ms")->sum /
+      1e3;
+  std::cout << "service totals: " << report.queue.executed_batches
+            << " batches, " << executed_pairs << " routes, "
+            << Table::num(exec_seconds, 2) << "s batch execution, "
+            << Table::num(static_cast<double>(executed_pairs) /
+                              std::max(exec_seconds, 1e-9),
                           0)
             << " routes/sec\n";
 

@@ -4,7 +4,6 @@
 #include "graph/families.hpp"
 #include "graph/graph_io.hpp"
 #include "graph/oracle_factory.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace nav::api {
 
@@ -70,16 +69,15 @@ routing::RouteResult NavigationEngine::route(graph::NodeId s, graph::NodeId t,
 }
 
 std::vector<routing::RouteResult> NavigationEngine::route_many(
-    std::span<const std::pair<graph::NodeId, graph::NodeId>> pairs, Rng rng,
-    bool parallel) const {
-  RouteServiceOptions options;
-  options.parallel = parallel;
-  return RouteService(*this, options).route_batch(pairs, rng);
+    std::span<const std::pair<graph::NodeId, graph::NodeId>> pairs,
+    Rng rng) const {
+  return RouteService(*this).route_batch(pairs, rng).results;
 }
 
 routing::GreedyDiameterEstimate NavigationEngine::estimate_diameter(
     const routing::TrialConfig& config, Rng rng) const {
-  return RouteService(*this).estimate_diameter(config, rng);
+  return RouteService(*this).estimate_diameter(
+      config, rng, routing::trial_pairs(*graph_, config, rng));
 }
 
 workload::WorkloadPtr NavigationEngine::make_workload(

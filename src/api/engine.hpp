@@ -116,8 +116,8 @@ class NavigationEngine {
   /// pool. Pair i uses rng.child(i), so the results are bit-identical to
   /// sequential routing whatever the shard layout or thread count.
   [[nodiscard]] std::vector<routing::RouteResult> route_many(
-      std::span<const std::pair<graph::NodeId, graph::NodeId>> pairs, Rng rng,
-      bool parallel = true) const;
+      std::span<const std::pair<graph::NodeId, graph::NodeId>> pairs,
+      Rng rng) const;
 
   /// Greedy-diameter estimation under the current scheme + router.
   [[nodiscard]] routing::GreedyDiameterEstimate estimate_diameter(

@@ -339,28 +339,29 @@ ExperimentResult Experiment::run() const {
             // The cell's whole pair × replicate grid routes as one
             // target-sharded batch; numbers are bit-identical to the
             // sequential estimator (see RouteService::estimate_diameter).
-            RouteServiceOptions service_options;
-            service_options.parallel = trials_.parallel;
             const RouteService service(cell_graph, cell_oracle, scheme.get(),
-                                       *router, service_options);
+                                       *router);
             routing::GreedyDiameterEstimate estimate;
             double success_rate = 1.0;
             if (!mutated && legacy_uniform) {
+              const Rng cell_rng =
+                  root.child(0x7a1a).child(si).child(ki).child(ri);
               estimate = service.estimate_diameter(
-                  trials_, root.child(0x7a1a).child(si).child(ki).child(ri));
+                  trials_, cell_rng,
+                  routing::trial_pairs(cell_graph, trials_, cell_rng));
             } else if (!mutated) {
               demand->reset();
               const Rng cell_rng =
                   root.child(0x77a1).child(wi).child(si).child(ki).child(ri);
-              // Pair generation sits at the same child address (0xA11) the
-              // selecting overload uses for select_trial_pairs.
+              // Pair generation sits at the same child address (0xA11)
+              // routing::trial_pairs uses for select_trial_pairs.
               Rng demand_rng = cell_rng.child(0xA11);
               estimate = service.estimate_diameter(
                   trials_, cell_rng,
                   demand->batch(trials_.num_pairs, demand_rng));
             } else {
               // Mutated cell: draw the pair grid exactly as the matching
-              // static path would (same 0xA11 sub-stream of the cell rng),
+              // static path would (same pair sub-stream of the cell rng),
               // then drop pairs the mutation disconnected — a greedy route
               // to an unreachable target never terminates, and the
               // surviving fraction IS the robustness metric.
@@ -370,14 +371,13 @@ ExperimentResult Experiment::run() const {
                                        .child(wi)
                                        .child(ki)
                                        .child(ri);
-              Rng pair_rng = cell_rng.child(0xA11);
               std::vector<std::pair<graph::NodeId, graph::NodeId>> selected;
               if (legacy_uniform) {
-                selected =
-                    routing::select_trial_pairs(cell_graph, trials_, pair_rng);
+                selected = routing::trial_pairs(cell_graph, trials_, cell_rng);
               } else {
                 demand->reset();
-                selected = demand->batch(trials_.num_pairs, pair_rng);
+                Rng demand_rng = cell_rng.child(0xA11);
+                selected = demand->batch(trials_.num_pairs, demand_rng);
               }
               std::vector<std::pair<graph::NodeId, graph::NodeId>> kept;
               kept.reserve(selected.size());

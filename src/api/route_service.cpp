@@ -1,8 +1,9 @@
 #include "api/route_service.hpp"
 
 #include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "obs/trace.hpp"
 #include "resilience/fault_spec.hpp"
@@ -22,14 +23,13 @@ enum class RowSource : std::uint8_t {
   kNone       ///< no usable row — retries exhausted, no fallback, tolerated
 };
 
-/// Degradation bookkeeping for one execute_jobs call; folded into the
-/// caller's RouteReport (when asked for) and the resilience counters.
-struct ResilLog {
-  std::vector<DegradationStatus> status;
-  std::size_t retries = 0;
-  std::size_t fallback_pairs = 0;
-  bool deadline_breached = false;
-};
+/// The steady clock in seconds: a steady-time service's arrival and start
+/// instants.
+double steady_seconds() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 }  // namespace
 
@@ -42,15 +42,26 @@ RouteService::RouteService(const graph::Graph& g,
       oracle_(oracle),
       scheme_(scheme),
       router_(router),
-      options_(options) {
+      options_(options),
+      virtual_time_(options.virtual_pair_cost_seconds > 0.0) {
   if (scheme_ != nullptr) {
     NAV_REQUIRE(scheme_->num_nodes() == graph_.num_nodes(),
                 "scheme/graph size mismatch");
   }
-  NAV_REQUIRE(!options_.tolerate_unreachable || options_.shard_by_target,
-              "tolerate_unreachable requires shard_by_target");
+  const auto finite_non_negative = [](double x) {
+    return std::isfinite(x) && x >= 0.0;
+  };
+  NAV_REQUIRE(finite_non_negative(options_.virtual_pair_cost_seconds),
+              "virtual_pair_cost_seconds must be finite and >= 0");
+  const ResilienceOptions& rz = options_.resilience;
+  NAV_REQUIRE(finite_non_negative(rz.backoff_base_seconds),
+              "backoff_base_seconds must be finite and >= 0");
+  NAV_REQUIRE(finite_non_negative(rz.batch_deadline_seconds),
+              "batch_deadline_seconds must be finite and >= 0");
+  NAV_REQUIRE(rz.fallback_router == nullptr || rz.fallback_oracle != nullptr,
+              "fallback_router needs a fallback_oracle");
   if (options_.admission.kind == AdmissionPolicy::Kind::kAdaptive) {
-    NAV_REQUIRE(options_.virtual_pair_cost_seconds > 0.0,
+    NAV_REQUIRE(virtual_time_,
                 "adaptive admission needs virtual_pair_cost_seconds > 0");
     NAV_REQUIRE(options_.admission.slo_seconds > 0.0,
                 "adaptive admission needs an SLO > 0");
@@ -118,7 +129,7 @@ RouteService::~RouteService() {
   if (service_thread_.joinable()) service_thread_.join();
 }
 
-std::vector<routing::RouteResult> RouteService::route_batch(
+RouteReport RouteService::route_batch(
     std::span<const std::pair<graph::NodeId, graph::NodeId>> pairs,
     Rng rng) const {
   std::vector<RouteJob> jobs;
@@ -126,30 +137,10 @@ std::vector<routing::RouteResult> RouteService::route_batch(
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     jobs.push_back({pairs[i].first, pairs[i].second, rng.child(i)});
   }
-  return route_jobs(std::move(jobs));
+  return route_jobs(jobs);
 }
 
-RouteReport RouteService::route_batch_report(
-    std::span<const std::pair<graph::NodeId, graph::NodeId>> pairs,
-    Rng rng) const {
-  std::vector<RouteJob> jobs;
-  jobs.reserve(pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    jobs.push_back({pairs[i].first, pairs[i].second, rng.child(i)});
-  }
-  RouteReport report;
-  report.results = execute_jobs(jobs, options_.parallel, &report);
-  return report;
-}
-
-std::vector<routing::RouteResult> RouteService::route_jobs(
-    std::vector<RouteJob> jobs) const {
-  return execute_jobs(jobs, options_.parallel, nullptr);
-}
-
-std::vector<routing::RouteResult> RouteService::execute_jobs(
-    const std::vector<RouteJob>& jobs, bool parallel,
-    RouteReport* report) const {
+RouteReport RouteService::route_jobs(std::span<const RouteJob> jobs) const {
   NAV_OBS_SPAN("route_service.execute_jobs", "pairs",
                static_cast<double>(jobs.size()));
   nav::Timer timer;
@@ -160,283 +151,199 @@ std::vector<routing::RouteResult> RouteService::execute_jobs(
         job.source < graph_.num_nodes() && job.target < graph_.num_nodes(),
         "route endpoint out of range");
   }
-  std::vector<routing::RouteResult> results(jobs.size());
-  std::size_t distinct_targets = 0;
-  std::size_t shards = 0;
-  ResilLog resil;
-  resil.status.assign(jobs.size(), DegradationStatus::kExact);
+  RouteReport report;
+  std::vector<routing::RouteResult>& results = report.results;
+  std::vector<DegradationStatus>& status = report.status;
+  results.resize(jobs.size());
+  status.assign(jobs.size(), DegradationStatus::kExact);
 
-  if (!options_.shard_by_target) {
-    // Legacy schedule: one job per loop index, request order, no grouping.
-    // Pool tasks are noexcept-by-policy (see thread_pool.hpp): a throwing
-    // route terminates the process, exactly as the pre-service route_many
-    // did — this mode exists as the bench baseline, not for serving, and
-    // the resilience machinery (which needs the prefetch choke point)
-    // deliberately does not apply here.
-    std::unordered_set<graph::NodeId> targets;
-    for (const auto& job : jobs) targets.insert(job.target);
-    distinct_targets = targets.size();
-    shards = jobs.size();
-    auto body = [&](std::size_t i) {
-      results[i] = router_.route(jobs[i].source, jobs[i].target, scheme_,
-                                 jobs[i].rng);
-    };
-    if (parallel) {
-      nav::parallel_for(0, jobs.size(), body);
-    } else {
-      for (std::size_t i = 0; i < jobs.size(); ++i) body(i);
+  // Shard index: shard k holds the job indices of the k-th distinct target,
+  // in order of first appearance — a deterministic function of the batch.
+  std::unordered_map<graph::NodeId, std::size_t> shard_of;
+  shard_of.reserve(jobs.size());
+  std::vector<graph::NodeId> shard_target;
+  std::vector<std::vector<std::size_t>> shard_jobs;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const auto [it, inserted] =
+        shard_of.try_emplace(jobs[i].target, shard_target.size());
+    if (inserted) {
+      shard_target.push_back(jobs[i].target);
+      shard_jobs.emplace_back();
     }
-  } else {
-    // Shard index: shard k holds the job indices of the k-th distinct
-    // target, in order of first appearance — a deterministic function of
-    // the batch.
-    std::unordered_map<graph::NodeId, std::size_t> shard_of;
-    shard_of.reserve(jobs.size());
-    std::vector<graph::NodeId> shard_target;
-    std::vector<std::vector<std::size_t>> shard_jobs;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      const auto [it, inserted] =
-          shard_of.try_emplace(jobs[i].target, shard_target.size());
-      if (inserted) {
-        shard_target.push_back(jobs[i].target);
-        shard_jobs.emplace_back();
-      }
-      shard_jobs[it->second].push_back(i);
+    shard_jobs[it->second].push_back(i);
+  }
+
+  const ResilienceOptions& rz = options_.resilience;
+  resilience::VirtualClock& vclock = resilience::global_virtual_clock();
+  const double batch_v0 = vclock.seconds();
+  const auto budget_spent = [&] {
+    return rz.batch_deadline_seconds > 0.0 &&
+           vclock.seconds() - batch_v0 > rz.batch_deadline_seconds;
+  };
+
+  // Wave by wave: prefetch the wave's distance vectors in one batch (one
+  // BFS per miss, farmed across the pool, pinned past any eviction), then
+  // route every shard through its pinned vector via route_resolved —
+  // shards never touch the oracle, so exactly one BFS per distinct target
+  // regardless of cache capacity, concurrency, or batch order.
+  const std::size_t wave =
+      std::max<std::size_t>(1, options_.max_pinned_targets);
+  // One pin vector reused across waves: prefetch_into clears and refills
+  // it, so after the first wave the container itself allocates nothing.
+  std::vector<graph::DistVecPtr> pinned;
+  std::vector<RowSource> slot_source;
+  for (std::size_t lo = 0; lo < shard_jobs.size(); lo += wave) {
+    const std::size_t hi = std::min(shard_jobs.size(), lo + wave);
+    const std::size_t slots = hi - lo;
+    slot_source.assign(slots, RowSource::kPrimary);
+    try {
+      oracle_.prefetch_into(
+          std::span<const graph::NodeId>(shard_target).subspan(lo, slots),
+          pinned);
+    } catch (const resilience::TransientOracleError&) {
+      // Partial success: a well-behaved thrower (FaultyOracle) has filled
+      // every non-failing slot already; the retry loop finishes the holes.
     }
-    distinct_targets = shard_target.size();
-    shards = shard_jobs.size();
-
-    const ResilienceOptions& rz = options_.resilience;
-    resilience::VirtualClock& vclock = resilience::global_virtual_clock();
-    const double batch_v0 = vclock.seconds();
-    const auto budget_spent = [&] {
-      return rz.batch_deadline_seconds > 0.0 &&
-             vclock.seconds() - batch_v0 > rz.batch_deadline_seconds;
-    };
-
-    // Wave by wave: prefetch the wave's distance vectors in one batch (one
-    // BFS per miss, farmed across the pool, pinned past any eviction), then
-    // route every shard through its pinned vector via route_resolved —
-    // shards never touch the oracle, so exactly one BFS per distinct
-    // target regardless of cache capacity, concurrency, or batch order.
-    const std::size_t wave =
-        std::max<std::size_t>(1, options_.max_pinned_targets);
-    // One pin vector reused across waves: prefetch_into clears and refills
-    // it, so after the first wave the container itself allocates nothing.
-    std::vector<graph::DistVecPtr> pinned;
-    std::vector<RowSource> slot_source;
-    for (std::size_t lo = 0; lo < shard_jobs.size(); lo += wave) {
-      const std::size_t hi = std::min(shard_jobs.size(), lo + wave);
-      const std::size_t slots = hi - lo;
-      slot_source.assign(slots, RowSource::kPrimary);
-      // Sequential mode must stay pool-free end to end (callers may rely on
-      // it from inside a pool task), so the batched prefetch — which fans
-      // its BFS sweep across the pool — is parallel-only; inline
-      // distances_to computes the identical vectors one by one.
-      bool wave_clean = true;
-      try {
-        if (parallel) {
-          oracle_.prefetch_into(
-              std::span<const graph::NodeId>(shard_target).subspan(lo, slots),
-              pinned);
-        } else {
-          pinned.clear();
-          pinned.reserve(slots);
-          for (std::size_t k = lo; k < hi; ++k) {
-            pinned.push_back(oracle_.distances_to(shard_target[k]));
-          }
-        }
-      } catch (const resilience::TransientOracleError&) {
-        // Partial success: a well-behaved thrower (FaultyOracle) has filled
-        // every non-failing slot already; a sequential inline loop stopped
-        // at the first failure. Normalise to one shape — slots-sized with
-        // nulls at the holes — and let the retry loop finish the job.
-        wave_clean = false;
-        pinned.resize(slots);
+    pinned.resize(slots);  // nulls at any holes
+    // The still-missing slots, retried as a shrinking subset with
+    // exponential VIRTUAL backoff: deterministic, never a real sleep.
+    std::vector<std::size_t> pending;
+    for (std::size_t s = 0; s < slots; ++s) {
+      if (!pinned[s]) pending.push_back(s);
+    }
+    double backoff = rz.backoff_base_seconds;
+    for (std::size_t round = 0; !pending.empty() && round < rz.max_retries;
+         ++round) {
+      if (budget_spent()) {
+        report.deadline_breached = true;
+        break;
       }
-      if (!wave_clean || pinned.size() != slots) {
-        pinned.resize(slots);
-        // The still-missing slots, retried as a shrinking subset with
-        // exponential VIRTUAL backoff: deterministic, never a real sleep.
-        std::vector<std::size_t> pending;
-        for (std::size_t s = 0; s < slots; ++s) {
-          if (!pinned[s]) pending.push_back(s);
-        }
-        double backoff = rz.backoff_base_seconds;
-        std::size_t round = 0;
-        while (!pending.empty() && round < rz.max_retries) {
-          if (budget_spent()) {
-            resil.deadline_breached = true;
-            break;
-          }
-          ++round;
-          ++resil.retries;
-          vclock.advance_seconds(backoff);
-          backoff *= 2.0;
-          std::vector<std::size_t> still;
-          for (const std::size_t s : pending) {
-            try {
-              pinned[s] = oracle_.distances_to(shard_target[lo + s]);
-            } catch (const resilience::TransientOracleError&) {
-              still.push_back(s);
-            }
-          }
-          pending.swap(still);
-        }
-        if (!pending.empty()) {
-          if (rz.fallback_oracle != nullptr) {
-            for (const std::size_t s : pending) {
-              pinned[s] = rz.fallback_oracle->distances_to(shard_target[lo + s]);
-              slot_source[s] = RowSource::kFallback;
-            }
-          } else if (rz.tolerate_faults) {
-            for (const std::size_t s : pending) {
-              slot_source[s] = RowSource::kNone;
-            }
-          } else {
-            std::vector<graph::NodeId> dead;
-            dead.reserve(pending.size());
-            for (const std::size_t s : pending) {
-              dead.push_back(shard_target[lo + s]);
-            }
-            throw resilience::TransientOracleError(std::move(dead));
-          }
+      ++report.retries;
+      vclock.advance_seconds(backoff);
+      backoff *= 2.0;
+      std::vector<std::size_t> still;
+      for (const std::size_t s : pending) {
+        try {
+          pinned[s] = oracle_.distances_to(shard_target[lo + s]);
+        } catch (const resilience::TransientOracleError&) {
+          still.push_back(s);
         }
       }
-      // Reachability check BEFORE the fan-out: pool tasks are noexcept by
-      // policy, so every route precondition must be established on this
-      // thread, where a throw reaches the caller (or a submit() future).
-      // Under tolerate_unreachable a disconnected pair becomes a
-      // reached = false result here and its job is excluded from routing;
-      // rowless (kNone) and fallback-sourced pairs are classified here too.
-      for (std::size_t k = lo; k < hi; ++k) {
-        const std::size_t s = k - lo;
-        if (slot_source[s] == RowSource::kNone) {
-          for (const std::size_t i : shard_jobs[k]) {
-            results[i].reached = false;
-            results[i].initial_distance = graph::kInfDist;
-            resil.status[i] = DegradationStatus::kFailed;
-          }
-          continue;
+      pending.swap(still);
+    }
+    if (!pending.empty()) {
+      if (rz.fallback_oracle != nullptr) {
+        for (const std::size_t s : pending) {
+          pinned[s] = rz.fallback_oracle->distances_to(shard_target[lo + s]);
+          slot_source[s] = RowSource::kFallback;
         }
-        if (slot_source[s] == RowSource::kFallback) {
-          for (const std::size_t i : shard_jobs[k]) {
-            resil.status[i] = DegradationStatus::kDegraded;
-          }
-          resil.fallback_pairs += shard_jobs[k].size();
+      } else if (rz.tolerate_faults) {
+        for (const std::size_t s : pending) slot_source[s] = RowSource::kNone;
+      } else {
+        std::vector<graph::NodeId> dead;
+        dead.reserve(pending.size());
+        for (const std::size_t s : pending) {
+          dead.push_back(shard_target[lo + s]);
         }
-        const auto& dist = *pinned[s];
+        throw resilience::TransientOracleError(std::move(dead));
+      }
+    }
+    // Reachability check BEFORE the fan-out: pool tasks are noexcept by
+    // policy, so every route precondition must be established on this
+    // thread, where a throw reaches the caller (or a submit() future).
+    // Under tolerate_unreachable a disconnected pair becomes a
+    // reached = false result here and its job is excluded from routing;
+    // rowless (kNone) and fallback-sourced pairs are classified here too.
+    for (std::size_t k = lo; k < hi; ++k) {
+      const std::size_t s = k - lo;
+      if (slot_source[s] == RowSource::kNone) {
         for (const std::size_t i : shard_jobs[k]) {
-          if (dist[jobs[i].source] != graph::kInfDist) continue;
-          NAV_REQUIRE(
-              options_.tolerate_unreachable ||
-                  slot_source[s] == RowSource::kFallback,
-              "target unreachable from source");
           results[i].reached = false;
           results[i].initial_distance = graph::kInfDist;
-          resil.status[i] = DegradationStatus::kDegraded;
+          status[i] = DegradationStatus::kFailed;
         }
+        continue;
       }
-      auto shard_body = [&](std::size_t k) {
-        const std::size_t s = k - lo;
-        if (slot_source[s] == RowSource::kNone) return;
-        const routing::Router& shard_router =
-            slot_source[s] == RowSource::kFallback &&
-                    rz.fallback_router != nullptr
-                ? *rz.fallback_router
-                : router_;
-        const graph::DistView& dist = *pinned[s];
+      if (slot_source[s] == RowSource::kFallback) {
         for (const std::size_t i : shard_jobs[k]) {
-          if (dist[jobs[i].source] == graph::kInfDist) {
-            continue;  // already reported as unreached
-          }
-          results[i] = shard_router.route_resolved(
-              jobs[i].source, jobs[i].target, dist, scheme_, jobs[i].rng);
+          status[i] = DegradationStatus::kDegraded;
         }
-      };
-      if (parallel) {
-        // Dynamic scheduling: shard sizes are as skewed as the workload.
-        nav::parallel_for_dynamic(lo, hi, shard_body);
-      } else {
-        for (std::size_t k = lo; k < hi; ++k) shard_body(k);
+        report.fallback_pairs += shard_jobs[k].size();
+      }
+      const auto& dist = *pinned[s];
+      for (const std::size_t i : shard_jobs[k]) {
+        if (dist[jobs[i].source] != graph::kInfDist) continue;
+        NAV_REQUIRE(options_.tolerate_unreachable ||
+                        slot_source[s] == RowSource::kFallback,
+                    "target unreachable from source");
+        results[i].reached = false;
+        results[i].initial_distance = graph::kInfDist;
+        status[i] = DegradationStatus::kDegraded;
       }
     }
+    // Dynamic scheduling: shard sizes are as skewed as the workload.
+    nav::parallel_for_dynamic(lo, hi, [&](std::size_t k) {
+      const std::size_t s = k - lo;
+      if (slot_source[s] == RowSource::kNone) return;
+      const routing::Router& shard_router =
+          slot_source[s] == RowSource::kFallback &&
+                  rz.fallback_router != nullptr
+              ? *rz.fallback_router
+              : router_;
+      const graph::DistView& dist = *pinned[s];
+      for (const std::size_t i : shard_jobs[k]) {
+        if (dist[jobs[i].source] == graph::kInfDist) {
+          continue;  // already reported as unreached
+        }
+        results[i] = shard_router.route_resolved(
+            jobs[i].source, jobs[i].target, dist, scheme_, jobs[i].rng);
+      }
+    });
   }
 
-  // A pair that executed on a primary row but did not reach its target
-  // (a stalled bound-only row starved the greedy descent) completed
-  // degraded, not exact.
+  // A pair that executed on a primary row but did not reach its target (a
+  // stalled bound-only row starved the greedy descent) completed degraded,
+  // not exact.
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (resil.status[i] == DegradationStatus::kExact && !results[i].reached) {
-      resil.status[i] = DegradationStatus::kDegraded;
+    if (status[i] == DegradationStatus::kExact && !results[i].reached) {
+      status[i] = DegradationStatus::kDegraded;
     }
+    if (status[i] == DegradationStatus::kExact) ++report.exact_pairs;
+    else if (status[i] == DegradationStatus::kDegraded) ++report.degraded_pairs;
+    else if (status[i] == DegradationStatus::kFailed) ++report.failed_pairs;
   }
 
-  const double seconds = timer.seconds();
-  exec_ms_hist_.observe(seconds * 1000.0);
-  {
-    std::lock_guard lock(report_mutex_);
-    last_report_.pairs = jobs.size();
-    last_report_.distinct_targets = distinct_targets;
-    last_report_.shards = shards;
-    last_report_.seconds = seconds;
-    ++totals_.batches;
-    totals_.pairs += jobs.size();
-    totals_.seconds += seconds;
-  }
-  std::size_t exact = 0;
-  std::size_t degraded = 0;
-  std::size_t failed = 0;
-  for (const DegradationStatus s : resil.status) {
-    if (s == DegradationStatus::kExact) ++exact;
-    else if (s == DegradationStatus::kDegraded) ++degraded;
-    else if (s == DegradationStatus::kFailed) ++failed;
-  }
-  if (resil.retries != 0 || resil.fallback_pairs != 0 || degraded != 0 ||
-      failed != 0 || resil.deadline_breached) {
+  report.batch.pairs = jobs.size();
+  report.batch.distinct_targets = shard_target.size();
+  report.batch.seconds = timer.seconds();
+  exec_ms_hist_.observe(report.batch.seconds * 1000.0);
+  if (report.retries != 0 || report.fallback_pairs != 0 ||
+      report.degraded_pairs != 0 || report.failed_pairs != 0 ||
+      report.deadline_breached) {
     // Written under queue_mutex_ so queue_stats() sees exact values; the
     // fault-free fast path never takes this lock.
     std::lock_guard lock(queue_mutex_);
     ensure_resilience_metrics();
-    retries_.inc(resil.retries);
-    fallback_routes_.inc(resil.fallback_pairs);
-    degraded_pairs_.inc(degraded);
-    failed_pairs_.inc(failed);
-    if (resil.deadline_breached) deadline_breaches_.inc();
+    retries_.inc(report.retries);
+    fallback_routes_.inc(report.fallback_pairs);
+    degraded_pairs_.inc(report.degraded_pairs);
+    failed_pairs_.inc(report.failed_pairs);
+    if (report.deadline_breached) deadline_breaches_.inc();
   }
-  if (report != nullptr) {
-    report->status = std::move(resil.status);
-    report->exact_pairs = exact;
-    report->degraded_pairs = degraded;
-    report->failed_pairs = failed;
-    report->retries = resil.retries;
-    report->fallback_pairs = resil.fallback_pairs;
-    report->deadline_breached = resil.deadline_breached;
-    report->batch.pairs = jobs.size();
-    report->batch.distinct_targets = distinct_targets;
-    report->batch.shards = shards;
-    report->batch.seconds = seconds;
-  }
-  return results;
+  return report;
 }
 
 std::future<std::vector<routing::RouteResult>> RouteService::submit(
     std::vector<std::pair<graph::NodeId, graph::NodeId>> pairs, Rng rng) {
-  PendingBatch batch;
-  batch.pairs = std::move(pairs);
-  batch.rng = rng;
-  return submit_impl(std::move(batch));
+  NAV_REQUIRE(!virtual_time_,
+              "a virtual-time RouteService needs submit(pairs, rng, vtime)");
+  return submit_impl({std::move(pairs), rng, {}, 0.0});
 }
 
 std::future<std::vector<routing::RouteResult>> RouteService::submit(
     std::vector<std::pair<graph::NodeId, graph::NodeId>> pairs, Rng rng,
     double arrival_vtime) {
-  PendingBatch batch;
-  batch.pairs = std::move(pairs);
-  batch.rng = rng;
-  batch.arrival_vtime = arrival_vtime;
-  batch.has_vtime = true;
-  return submit_impl(std::move(batch));
+  return submit_impl({std::move(pairs), rng, {}, arrival_vtime});
 }
 
 std::future<std::vector<routing::RouteResult>> RouteService::submit_impl(
@@ -467,7 +374,8 @@ std::future<std::vector<routing::RouteResult>> RouteService::submit_impl(
       NAV_REQUIRE(!stopping_, "submit on a stopping RouteService");
       if (waited) blocked_submits_.inc();
     }
-    batch.enqueued_at = std::chrono::steady_clock::now();
+    // On steady time the batch arrives when it enters the queue.
+    if (!virtual_time_) batch.arrival = steady_seconds();
     queue_.push_back(std::move(batch));
     submitted_batches_.inc();
     submitted_pairs_.inc(incoming);
@@ -536,10 +444,10 @@ std::vector<double> RouteService::virtual_sojourns() const {
 
 void RouteService::service_loop() {
   resilience::VirtualClock& vclock = resilience::global_virtual_clock();
+  const AdmissionPolicy& admission = options_.admission;
   while (true) {
     PendingBatch batch;
-    bool use_virtual = false;
-    double arrival_v = 0.0;
+    double start = 0.0;
     {
       std::unique_lock lock(queue_mutex_);
       // stopping_ overrides pause: destruction always drains the queue.
@@ -551,37 +459,28 @@ void RouteService::service_loop() {
       queue_.pop_front();
       queued_batches_.sub(1);
       queued_pairs_.sub(static_cast<std::int64_t>(batch.pairs.size()));
-      // Virtual evaluation only when BOTH sides opted in: the submitter
-      // supplied an arrival vtime and the service has a pair cost. All
-      // other combinations keep the historical wall-clock semantics.
-      use_virtual =
-          batch.has_vtime && options_.virtual_pair_cost_seconds > 0.0;
-      arrival_v = batch.arrival_vtime;
-      // The wait this batch pays before the server can start it: virtual
-      // backlog under virtual evaluation, wall queue age otherwise.
-      const double waited =
-          use_virtual
-              ? std::max(0.0, vfree_ - arrival_v)
-              : std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - batch.enqueued_at)
-                    .count();
+      // The instant the server can start this batch, on the service's
+      // clock: now, or once the virtual server has worked off its backlog.
+      start = virtual_time_ ? std::max(batch.arrival, vfree_) : steady_seconds();
+      const double waited = start - batch.arrival;
       queue_wait_ms_hist_.observe(waited * 1000.0);
       const auto depth = static_cast<std::size_t>(queued_pairs_.value());
-      if (options_.admission.kind == AdmissionPolicy::Kind::kShed &&
-          waited > options_.admission.deadline_seconds) {
-        shed_batches_.inc();
-        shed_pairs_.inc(batch.pairs.size());
+      const auto drop = [&](ShedError::Reason reason) {
         lock.unlock();
         queue_space_cv_.notify_all();
         batch.promise.set_exception(std::make_exception_ptr(
-            ShedError(ShedError::Reason::kDeadline, waited,
-                      batch.pairs.size(), depth)));
+            ShedError(reason, waited, batch.pairs.size(), depth)));
+      };
+      if (admission.kind == AdmissionPolicy::Kind::kShed &&
+          waited > admission.deadline_seconds) {
+        shed_batches_.inc();
+        shed_pairs_.inc(batch.pairs.size());
+        drop(ShedError::Reason::kDeadline);
         continue;
       }
-      if (options_.admission.kind == AdmissionPolicy::Kind::kAdaptive &&
-          use_virtual) {
+      if (admission.kind == AdmissionPolicy::Kind::kAdaptive) {
         if (adaptive_window_pairs_ == 0) {
-          adaptive_window_pairs_ = options_.admission.adaptive_start_pairs;
+          adaptive_window_pairs_ = admission.adaptive_start_pairs;
           adaptive_window_.set(
               static_cast<std::int64_t>(adaptive_window_pairs_));
         }
@@ -589,18 +488,13 @@ void RouteService::service_loop() {
         // would push the backlog past the window. An idle server always
         // admits (no single-batch livelock, mirroring Bounded).
         const double backlog_pairs =
-            std::max(0.0, vfree_ - arrival_v) /
-            options_.virtual_pair_cost_seconds;
+            waited / options_.virtual_pair_cost_seconds;
         if (backlog_pairs > 0.0 &&
             backlog_pairs + static_cast<double>(batch.pairs.size()) >
                 static_cast<double>(adaptive_window_pairs_)) {
           rejected_batches_.inc();
           rejected_pairs_.inc(batch.pairs.size());
-          lock.unlock();
-          queue_space_cv_.notify_all();
-          batch.promise.set_exception(std::make_exception_ptr(
-              ShedError(ShedError::Reason::kRejected, waited,
-                        batch.pairs.size(), depth)));
+          drop(ShedError::Reason::kRejected);
           continue;
         }
       }
@@ -612,14 +506,7 @@ void RouteService::service_loop() {
       // Injected virtual latency (slow faults, retry backoffs) during this
       // batch's execution counts toward its virtual service time.
       const double vexec_before = vclock.seconds();
-      std::vector<RouteJob> jobs;
-      jobs.reserve(batch.pairs.size());
-      for (std::size_t i = 0; i < batch.pairs.size(); ++i) {
-        jobs.push_back({batch.pairs[i].first, batch.pairs[i].second,
-                        batch.rng.child(i)});
-      }
-      RouteReport report;
-      auto results = execute_jobs(jobs, options_.parallel, &report);
+      auto results = route_batch(batch.pairs, batch.rng).results;
       const double vexec_injected = vclock.seconds() - vexec_before;
       {
         // Counted only on success — "executed" keeps meaning "dequeued AND
@@ -627,27 +514,25 @@ void RouteService::service_loop() {
         // future resolves, so a caller returning from get() observes it.
         std::lock_guard lock(queue_mutex_);
         executed_batches_.inc();
-        if (use_virtual) {
-          const double start_v = std::max(arrival_v, vfree_);
+        if (virtual_time_) {
           const double exec_v = static_cast<double>(batch.pairs.size()) *
                                     options_.virtual_pair_cost_seconds +
                                 vexec_injected;
-          vfree_ = start_v + exec_v;
-          const double sojourn_v = vfree_ - arrival_v;
+          vfree_ = start + exec_v;
+          const double sojourn_v = vfree_ - batch.arrival;
           virtual_sojourns_.push_back(sojourn_v);
-          if (options_.admission.kind == AdmissionPolicy::Kind::kAdaptive) {
-            if (sojourn_v > options_.admission.slo_seconds) {
+          if (admission.kind == AdmissionPolicy::Kind::kAdaptive) {
+            if (sojourn_v > admission.slo_seconds) {
               // Multiplicative decrease, floored: stay serving even when
               // every batch breaches.
               slo_breaches_.inc();
               adaptive_window_pairs_ = std::max(
-                  options_.admission.adaptive_min_pairs,
+                  admission.adaptive_min_pairs,
                   static_cast<std::size_t>(
                       static_cast<double>(adaptive_window_pairs_) *
-                      options_.admission.adaptive_beta));
+                      admission.adaptive_beta));
             } else {
-              adaptive_window_pairs_ +=
-                  options_.admission.adaptive_increase_pairs;
+              adaptive_window_pairs_ += admission.adaptive_increase_pairs;
             }
             adaptive_window_.set(
                 static_cast<std::int64_t>(adaptive_window_pairs_));
@@ -666,78 +551,22 @@ void RouteService::service_loop() {
 }
 
 routing::GreedyDiameterEstimate RouteService::estimate_diameter(
-    const routing::TrialConfig& config, Rng rng) const {
-  Rng pair_rng = rng.child(0xA11);
-  return estimate_diameter(
-      config, rng, routing::select_trial_pairs(graph_, config, pair_rng));
-}
-
-routing::GreedyDiameterEstimate RouteService::estimate_diameter(
     const routing::TrialConfig& config, Rng rng,
-    const std::vector<std::pair<graph::NodeId, graph::NodeId>>& pairs) const {
-  NAV_REQUIRE(graph_.num_nodes() >= 2, "graph too small to route");
+    std::span<const std::pair<graph::NodeId, graph::NodeId>> pairs) const {
   NAV_REQUIRE(config.resamples >= 1, "need at least one resample");
   NAV_REQUIRE(!pairs.empty(), "no source/target pairs selected");
-
-  // The full pair × replicate grid as one batch. Job (p, r) keeps the
-  // trial_runner stream address rng.child(p + 1).child(r), so the Monte
-  // Carlo draws — and hence every statistic below — match the sequential
-  // estimator bit for bit.
-  const std::size_t resamples = config.resamples;
+  // The full pair × replicate grid as one batch, on the trial runner's
+  // stream addresses.
   std::vector<RouteJob> jobs;
-  jobs.reserve(pairs.size() * resamples);
+  jobs.reserve(pairs.size() * config.resamples);
   for (std::size_t p = 0; p < pairs.size(); ++p) {
     const Rng pair_stream = rng.child(p + 1);
-    for (std::size_t r = 0; r < resamples; ++r) {
+    for (std::size_t r = 0; r < config.resamples; ++r) {
       jobs.push_back({pairs[p].first, pairs[p].second, pair_stream.child(r)});
     }
   }
-  const auto results =
-      execute_jobs(jobs, options_.parallel && config.parallel, nullptr);
-
-  // Accumulation mirrors estimate_routed_pair / estimate_routed_diameter:
-  // replicates in index order per pair, then pair means in pair order.
-  routing::GreedyDiameterEstimate out;
-  out.pairs.resize(pairs.size());
-  for (std::size_t p = 0; p < pairs.size(); ++p) {
-    nav::RunningStats step_stats, long_stats;
-    for (std::size_t r = 0; r < resamples; ++r) {
-      const auto& result = results[p * resamples + r];
-      step_stats.add(static_cast<double>(result.steps));
-      long_stats.add(static_cast<double>(result.long_links_used));
-    }
-    auto& est = out.pairs[p];
-    est.s = pairs[p].first;
-    est.t = pairs[p].second;
-    // Every route already resolved dist(s, t); re-querying the oracle here
-    // could re-BFS targets the LRU has since evicted.
-    est.distance = results[p * resamples].initial_distance;
-    est.mean_steps = step_stats.mean();
-    est.ci_halfwidth = step_stats.ci_halfwidth();
-    est.max_steps = step_stats.max();
-    est.mean_long_links = long_stats.mean();
-  }
-  nav::RunningStats all;
-  for (const auto& pe : out.pairs) {
-    all.add(pe.mean_steps);
-    if (pe.mean_steps > out.max_mean_steps) {
-      out.max_mean_steps = pe.mean_steps;
-      out.max_ci_halfwidth = pe.ci_halfwidth;
-    }
-  }
-  out.overall_mean_steps = all.mean();
-  out.trials = pairs.size() * resamples;
-  return out;
-}
-
-BatchReport RouteService::last_report() const {
-  std::lock_guard lock(report_mutex_);
-  return last_report_;
-}
-
-ServiceTotals RouteService::totals() const {
-  std::lock_guard lock(report_mutex_);
-  return totals_;
+  return routing::fold_trial_grid(pairs, config.resamples,
+                                  route_jobs(jobs).results);
 }
 
 }  // namespace nav::api

@@ -1,76 +1,60 @@
 // route_service.hpp — always-on batch routing with target-sharded oracle
 // prefetch.
 //
-// Engine::route_many used to hand every (source, target) pair its own child
-// stream and fire them at the thread pool in request order. Correct, but at
-// cache-oracle sizes (n above EngineOptions::dense_oracle_limit) a mixed
-// batch thrashes the TargetDistanceCache: each pair whose target has been
-// evicted pays a fresh BFS, so a batch with T distinct targets can cost far
-// more than T BFS runs. RouteService closes that gap:
+// Routing a mixed batch pair by pair thrashes a TargetDistanceCache: each
+// pair whose target was evicted pays a fresh BFS. RouteService has one
+// execute path that pays exactly one BFS per distinct target per batch,
+// whatever the cache capacity, pool width or request order:
 //
 //   1. shard the batch by target (order of first appearance),
-//   2. prefetch shard targets in waves through the oracle's batch interface
-//      (one parallel BFS sweep over the misses; the returned vectors stay
-//      pinned for the wave, immune to LRU eviction),
-//   3. execute the wave's shards across the thread pool with dynamic
-//      scheduling (parallel_for_dynamic — shards are uneven), each shard
-//      routing through its pinned vector (Router::route_resolved), so the
-//      oracle is never queried from inside a pool task,
+//   2. prefetch the shard targets in waves of at most max_pinned_targets
+//      through the oracle's batch interface (one BFS per miss, farmed across
+//      the pool; the rows stay pinned for the wave, immune to LRU eviction),
+//   3. execute the wave's shards across the pool (parallel_for_dynamic —
+//      shards are uneven), each routing through its pinned row
+//      (Router::route_resolved), so no pool task ever queries the oracle,
 //   4. inside a shard, route pairs in request order.
 //
-// Net effect: exactly one BFS per distinct target per batch, whatever the
-// cache capacity, concurrency, or request order. Like parallel_for, batch
-// execution waits on pool idleness — do not call route_batch/route_jobs/
-// estimate_diameter from inside a pool task (submit() is fine: its batches
-// run on the service's own thread).
+// Determinism: pair i of route_batch draws from rng.child(i) whatever shard
+// it lands in, and routes are pure functions of (s, t, scheme, rng state),
+// so results are bit-identical to sequential routing at any pool width.
+// Batch execution waits on pool idleness — do not call route_batch /
+// route_jobs / estimate_diameter from inside a pool task (submit() is fine:
+// its batches run on the service's own thread).
 //
-// Determinism is unchanged from route_many: pair i of a batch draws from
-// rng.child(i) whatever shard it lands in, and routes are pure functions of
-// (s, t, scheme, rng state), so the results are bit-identical to sequential
-// routing — the test suite asserts this across shard and batch splits.
-//
-// "Always-on": submit() enqueues a batch on an internal service thread and
-// returns a std::future, so a driver can keep feeding mixed-size batches
-// while earlier ones execute (examples/route_server.cpp). The service thread
-// is started lazily on first submit and drained on destruction.
-//
-// Admission (RouteServiceOptions::admission) bounds the submit() queue for
-// open-loop drivers (workload::TrafficDriver):
-//   * Unbounded — the original FIFO: every batch is queued, no backpressure;
+// "Always-on": submit() enqueues a batch on a lazily started service thread
+// and returns a std::future; batches execute FIFO and the destructor drains
+// the queue. RouteServiceOptions::admission bounds that queue:
+//   * Unbounded — every batch is queued, no backpressure;
 //   * Bounded{max_queued_pairs} — submit() blocks the producer until the
-//     queue has room (an oversized batch is still admitted when the queue is
-//     empty, so a single batch can never deadlock);
-//   * Shed{deadline_seconds} — batches that waited in the queue longer than
-//     the deadline are dropped at dequeue: their future fails with ShedError
-//     and the service moves on. When the submitter supplies a virtual
-//     arrival time (submit's vtime overload) AND virtual_pair_cost_seconds
-//     is set, the wait is evaluated in VIRTUAL time — a deterministic
-//     function of arrival times and batch sizes, never of scheduler luck;
-//   * Adaptive{slo_seconds} — an AIMD controller over an admitted-work
-//     window: a batch whose virtual backlog would overflow the window is
-//     rejected at dequeue (ShedError with Reason::kRejected); each served
-//     batch's virtual sojourn is compared against the SLO, shrinking the
-//     window multiplicatively on a breach and growing it additively
-//     otherwise. Fully virtual-time driven, hence deterministic.
-// queue_stats() exposes the live depth and the admission counters;
-// pause()/resume() freeze dequeueing so tests and drain-style drivers can
-// fill the queue deterministically.
+//     queue has room (an oversized batch is admitted into an empty queue);
+//   * Shed{deadline_seconds} — a batch that waited longer than the deadline
+//     is dropped at dequeue: its future fails with ShedError;
+//   * Adaptive{slo_seconds} — an AIMD window over admitted work: a batch
+//     whose backlog would overflow the window is rejected at dequeue, and
+//     each served batch's sojourn shrinks the window multiplicatively on an
+//     SLO breach, grows it additively otherwise.
+//
+// The service runs on ONE clock, fixed at construction. With
+// virtual_pair_cost_seconds > 0 it is virtual time: batches arrive at the
+// submitter's virtual times (submit's vtime overload), a batch of P pairs
+// costs P * virtual_pair_cost_seconds plus any latency the fault layer
+// injected, and every admission decision is a pure function of arrival
+// times and batch sizes. Otherwise it is the steady wall clock. Shed and
+// Adaptive both measure a batch's wait as start - arrival on that clock.
 //
 // Resilience (RouteServiceOptions::resilience): when the oracle injects
-// transient faults (resilience::FaultyOracle, "faulty:" specs), batch
-// execution retries the FAILED SUBSET of each prefetch wave with
-// exponential virtual-time backoff, falls back to a degraded oracle/router
-// pair when retries or the batch's deadline budget are exhausted, and
-// reports a per-pair DegradationStatus in RouteReport. With a fault-free
-// oracle every code path below is byte-identical to the pre-resilience
-// service: the try block costs nothing until a TransientOracleError flies.
+// transient faults (resilience::FaultyOracle), a prefetch wave retries its
+// FAILED SUBSET with exponential virtual-time backoff, falls back to a
+// degraded oracle/router pair when retries or the batch's deadline budget
+// run out, and classifies every pair in RouteReport::status. With a
+// fault-free oracle none of that code runs.
 #pragma once
 
 /// \file
 /// \brief RouteService: always-on batch routing with target-sharded oracle
 /// prefetch.
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -107,6 +91,10 @@ struct RouteJob {
 /// (it aged past the deadline in the queue) or Adaptive (the controller's
 /// window had no room). Carries the structured context of the drop — wait,
 /// batch size, queue depth — so drivers can aggregate without parsing what().
+/// A consumer that reads the caught error should hold the batch's state in a
+/// shared_future (`future.share()`) until its handler returns, so the
+/// error's release is ordered through a reference count ThreadSanitizer can
+/// see (TrafficDriver::run does this).
 class ShedError : public std::runtime_error {
  public:
   /// Why the batch was dropped.
@@ -129,8 +117,8 @@ class ShedError : public std::runtime_error {
 
   /// Deadline aging (Shed) vs window rejection (Adaptive).
   [[nodiscard]] Reason reason() const noexcept { return reason_; }
-  /// How long the batch waited before the drop — wall-clock seconds under
-  /// wall evaluation, virtual seconds under virtual-time evaluation.
+  /// How long the batch waited before the drop, in seconds on the service's
+  /// clock (virtual seconds on a virtual-time service).
   [[nodiscard]] double waited_seconds() const noexcept {
     return waited_seconds_;
   }
@@ -165,16 +153,13 @@ struct AdmissionPolicy {
   /// kBounded: max pairs waiting in the queue. A batch larger than the bound
   /// is admitted when the queue is empty (no single-batch deadlock).
   std::size_t max_queued_pairs = 0;
-  /// kShed: a batch that waited longer than this many seconds is shed at
-  /// dequeue (its future fails with ShedError). Wall-clock seconds unless
-  /// the submitter supplied a virtual arrival time AND
-  /// RouteServiceOptions::virtual_pair_cost_seconds is set, in which case
-  /// the wait is virtual (deterministic).
+  /// kShed: a batch that waited longer than this many seconds (on the
+  /// service's clock) is shed at dequeue; its future fails with ShedError.
   double deadline_seconds = 0.0;
   /// kAdaptive: the controller's target — a served batch whose virtual
   /// sojourn (arrival -> completion) exceeds this breaches the SLO and
-  /// shrinks the window. Requires virtual arrival times and
-  /// virtual_pair_cost_seconds > 0 (checked at construction).
+  /// shrinks the window. Requires a virtual-time service
+  /// (virtual_pair_cost_seconds > 0, checked at construction).
   double slo_seconds = 0.0;
   /// kAdaptive: initial admitted-work window, in pairs.
   std::size_t adaptive_start_pairs = 1024;
@@ -220,11 +205,9 @@ struct AdmissionPolicy {
   }
 };
 
-/// Live queue depth plus cumulative admission counters (queue_stats()).
-/// Since the obs migration this struct is a point-in-time VIEW over the
-/// service's metrics registry — the counters live in `route_service.*`
-/// registry metrics and queue_stats() materialises them under the queue
-/// mutex, so the values stay bit-identical to the pre-registry struct.
+/// Live queue depth plus cumulative admission counters (queue_stats()): a
+/// point-in-time view over the service's `route_service.*` and
+/// `resilience.*` registry metrics, read under the queue mutex.
 struct QueueStats {
   std::size_t queued_batches = 0;     ///< batches waiting right now
   std::size_t queued_pairs = 0;       ///< pairs waiting right now
@@ -268,17 +251,20 @@ struct ResilienceOptions {
   std::size_t max_retries = 3;
   /// Virtual backoff before retry round k: base * 2^(k-1) seconds, advanced
   /// on the global virtual clock — deterministic, never a real sleep.
+  /// Must be finite and >= 0.
   double backoff_base_seconds = 1e-3;
   /// Per-batch degradation budget in virtual seconds (0 = unlimited): once
   /// a batch has accumulated this much injected virtual time, remaining
   /// faulted targets skip further retries and go straight to the fallback.
+  /// Must be finite and >= 0.
   double batch_deadline_seconds = 0.0;
   /// Degraded oracle consulted for targets whose retries are exhausted
   /// (e.g. a landmark oracle — approximate but fault-free). Must outlive
   /// the service. nullptr = no fallback tier.
   const graph::DistanceOracle* fallback_oracle = nullptr;
   /// Router used for fallback rows; must accept inexact distances
-  /// (Router{exact = false}). nullptr falls back to the primary router.
+  /// (Router{exact = false}). nullptr routes fallback rows with the primary
+  /// router. Setting it without a fallback_oracle is rejected.
   const routing::Router* fallback_router = nullptr;
   /// With no fallback tier: report pairs whose target has no usable row as
   /// DegradationStatus::kFailed (reached = false) instead of failing the
@@ -286,15 +272,9 @@ struct ResilienceOptions {
   bool tolerate_faults = false;
 };
 
-/// Execution knobs for RouteService.
+/// Execution knobs for RouteService. The global pool's width alone decides
+/// fan-out; results are bit-identical at any width.
 struct RouteServiceOptions {
-  /// Execute shards across the global thread pool; false routes everything
-  /// on the calling thread (still sharded, still the same results).
-  bool parallel = true;
-  /// Group jobs by target before executing. Disabling this reproduces the
-  /// legacy per-pair route_many schedule — kept as the bench baseline
-  /// (bench_e11_service) and for A/B-ing the prefetch win.
-  bool shard_by_target = true;
   /// Shards execute in waves of at most this many targets; each wave's
   /// distance vectors are prefetched in one batch and pinned for the wave's
   /// duration, bounding peak pinned memory at
@@ -306,9 +286,6 @@ struct RouteServiceOptions {
   /// false, initial_distance = kInfDist, steps = 0} instead of throwing.
   /// The dynamic-graph posture: edge failures can disconnect pairs mid-run,
   /// and a robustness bench wants the success *rate*, not an exception.
-  /// Requires shard_by_target (checked at construction) — the legacy
-  /// schedule routes inside noexcept pool tasks where the router's own
-  /// precondition would abort the process.
   bool tolerate_unreachable = false;
   /// Registry the service records its `route_service.*` metrics into.
   /// nullptr (default) gives the service a private registry — multiple
@@ -316,35 +293,32 @@ struct RouteServiceOptions {
   /// Pass &obs::default_registry() to fold the service into the process-wide
   /// scrape surface (what examples/route_server.cpp does for --metrics-out).
   obs::Registry* metrics = nullptr;
-  /// Virtual service cost per pair, in seconds. 0 keeps the historical
-  /// wall-clock admission semantics untouched. > 0 (with vtime submits)
-  /// switches Shed aging and the Adaptive controller to virtual time:
-  /// a batch of P pairs "costs" P * this, plus any virtual time the fault
-  /// layer injected while executing it.
+  /// Picks the service's clock. 0 (default): steady wall-clock time. > 0:
+  /// virtual time, where a batch of P pairs costs P * this many virtual
+  /// seconds plus any virtual time the fault layer injected while executing
+  /// it, and batches must arrive through submit's vtime overload. Must be
+  /// finite and >= 0.
   double virtual_pair_cost_seconds = 0.0;
   /// Degraded-mode behaviour under transient oracle faults.
   ResilienceOptions resilience;
 };
 
-/// Telemetry for the most recent batch (route_batch / route_jobs / submit).
+/// Execution telemetry for one batch.
 struct BatchReport {
   /// Jobs in the batch.
   std::size_t pairs = 0;
-  /// Distinct route targets in the batch.
+  /// Distinct route targets in the batch (= shards handed to the pool).
   std::size_t distinct_targets = 0;
-  /// Execution units handed to the pool (== distinct targets when sharding,
-  /// == pairs when not).
-  std::size_t shards = 0;
   /// Wall-clock seconds spent executing the batch.
   double seconds = 0.0;
 };
 
-/// A batch's results plus its per-pair degradation story — what
-/// route_batch_report returns and what submit() paths tally into the
-/// resilience counters. With a fault-free oracle every status is kExact
-/// (or kDegraded only for tolerated-unreachable pairs).
+/// A batch's results plus its per-pair degradation story — what route_batch
+/// and route_jobs return and what submit() tallies into the resilience
+/// counters. With a fault-free oracle every status is kExact (or kDegraded
+/// only for tolerated-unreachable pairs).
 struct RouteReport {
-  /// Route result i corresponds to input pair i, as in route_batch.
+  /// Route result i corresponds to input pair (or job) i.
   std::vector<routing::RouteResult> results;
   /// status[i] classifies how results[i] was produced.
   std::vector<DegradationStatus> status;
@@ -357,27 +331,19 @@ struct RouteReport {
   std::size_t fallback_pairs = 0;
   /// True when the batch's virtual deadline budget ran out mid-execution.
   bool deadline_breached = false;
-  /// The plain execution telemetry (same values as last_report()).
+  /// The plain execution telemetry.
   BatchReport batch;
-};
-
-/// Cumulative telemetry across the service's lifetime.
-struct ServiceTotals {
-  /// Batches executed so far.
-  std::size_t batches = 0;
-  /// Jobs routed so far.
-  std::size_t pairs = 0;
-  /// Wall-clock seconds spent executing batches.
-  double seconds = 0.0;
 };
 
 /// Batch routing engine over one graph + oracle + scheme + router. All
 /// referenced components must outlive the service; the service itself is
-/// immutable apart from telemetry and safe for concurrent route_batch calls.
+/// immutable apart from its queue and metrics, and safe for concurrent
+/// route_batch calls.
 class RouteService {
  public:
   /// Wraps explicit components (the Experiment per-cell path). `scheme` may
-  /// be null: local links only.
+  /// be null: local links only. Throws std::invalid_argument on inconsistent
+  /// options (see RouteServiceOptions / ResilienceOptions).
   RouteService(const graph::Graph& g, const graph::DistanceOracle& oracle,
                const core::AugmentationScheme* scheme,
                const routing::Router& router, RouteServiceOptions options = {});
@@ -398,37 +364,30 @@ class RouteService {
 
   /// Routes a batch; result i corresponds to pairs[i] and draws from
   /// rng.child(i) — bit-identical to routing the pairs one by one.
-  [[nodiscard]] std::vector<routing::RouteResult> route_batch(
+  [[nodiscard]] RouteReport route_batch(
       std::span<const std::pair<graph::NodeId, graph::NodeId>> pairs,
       Rng rng) const;
 
-  /// Core primitive: executes pre-built jobs (result i = jobs[i]), sharded
-  /// by target per the options. Used by route_batch and the estimator.
-  [[nodiscard]] std::vector<routing::RouteResult> route_jobs(
-      std::vector<RouteJob> jobs) const;
-
-  /// route_batch plus the per-pair degradation story: statuses, retry and
-  /// fallback tallies, deadline verdict. Same results, same determinism.
-  [[nodiscard]] RouteReport route_batch_report(
-      std::span<const std::pair<graph::NodeId, graph::NodeId>> pairs,
-      Rng rng) const;
+  /// The execute path every batch takes: runs pre-built jobs (result i =
+  /// jobs[i]), each on its own stream, in target-sharded waves.
+  [[nodiscard]] RouteReport route_jobs(std::span<const RouteJob> jobs) const;
 
   /// Enqueues a batch on the service thread and returns its future. Batches
   /// execute FIFO; each still fans its shards across the thread pool.
   /// Admission applies here (see RouteServiceOptions::admission): Bounded
-  /// may block the caller until the queue has room; Shed may later fail the
-  /// returned future with ShedError. Throws std::invalid_argument when the
-  /// service is stopping (including producers woken from a Bounded wait by
-  /// destruction).
+  /// may block the caller until the queue has room; Shed and Adaptive may
+  /// later fail the returned future with ShedError. The batch arrives now on
+  /// the steady clock. Throws std::invalid_argument on a virtual-time
+  /// service (use the vtime overload) and when the service is stopping
+  /// (including producers woken from a Bounded wait by destruction).
   [[nodiscard]] std::future<std::vector<routing::RouteResult>> submit(
       std::vector<std::pair<graph::NodeId, graph::NodeId>> pairs, Rng rng);
 
   /// submit() with a VIRTUAL arrival time (seconds on the driver's virtual
-  /// axis, e.g. workload::ArrivalSchedule times). When
-  /// options().virtual_pair_cost_seconds > 0, Shed aging and the Adaptive
-  /// controller evaluate this batch in virtual time — bit-identical across
-  /// runs and machines. Arrival times must be non-decreasing across
-  /// submits (FIFO order is the virtual order).
+  /// axis, e.g. workload::ArrivalSchedule times). On a virtual-time service
+  /// the batch arrives at `arrival_vtime`; arrival times must be
+  /// non-decreasing across submits (FIFO order is the virtual order). A
+  /// steady-time service ignores `arrival_vtime`.
   [[nodiscard]] std::future<std::vector<routing::RouteResult>> submit(
       std::vector<std::pair<graph::NodeId, graph::NodeId>> pairs, Rng rng,
       double arrival_vtime);
@@ -450,29 +409,14 @@ class RouteService {
   /// queue/admission counters plus the sojourn and execution histograms.
   [[nodiscard]] obs::Registry& metrics() const { return *metrics_; }
 
-  /// Greedy-diameter estimation routed through the batch path: the whole
-  /// pair × replicate grid becomes one target-sharded batch. Numbers are
-  /// bit-identical to routing::estimate_routed_diameter with the same
-  /// arguments (same pair selection, same child streams, same accumulation
-  /// order); only the execution schedule differs.
-  [[nodiscard]] routing::GreedyDiameterEstimate estimate_diameter(
-      const routing::TrialConfig& config, Rng rng) const;
-
-  /// Estimation over caller-selected pairs (the Experiment workload axis:
-  /// pairs come from a workload::Workload instead of select_trial_pairs).
-  /// Streams and accumulation order match the selecting overload exactly —
-  /// pair p, replicate r still draws from rng.child(p + 1).child(r) — so
-  /// passing the select_trial_pairs output reproduces it bit for bit.
+  /// Greedy-diameter estimation over `pairs`, routed as one batch: pair p,
+  /// replicate r draws from rng.child(p + 1).child(r) and the grid folds
+  /// through routing::fold_trial_grid. Passing the routing::trial_pairs
+  /// selection reproduces routing::estimate_routed_diameter bit for bit;
+  /// the Experiment workload axis passes workload pairs instead.
   [[nodiscard]] routing::GreedyDiameterEstimate estimate_diameter(
       const routing::TrialConfig& config, Rng rng,
-      const std::vector<std::pair<graph::NodeId, graph::NodeId>>& pairs)
-      const;
-
-  /// Telemetry for the most recently executed batch.
-  [[nodiscard]] BatchReport last_report() const;
-
-  /// Cumulative telemetry since construction.
-  [[nodiscard]] ServiceTotals totals() const;
+      std::span<const std::pair<graph::NodeId, graph::NodeId>> pairs) const;
 
   /// The options the service was built with (drivers read the virtual pair
   /// cost and the admission policy back).
@@ -481,24 +425,18 @@ class RouteService {
   }
 
   /// Virtual sojourn (arrival -> completion, virtual seconds) of every
-  /// batch served so far through the vtime submit path, in completion
-  /// order. Drivers slice this to compute windowed p99s against an SLO.
+  /// batch a virtual-time service has served so far, in completion order;
+  /// empty on a steady-time service. Drivers slice this to compute windowed
+  /// p99s against an SLO.
   [[nodiscard]] std::vector<double> virtual_sojourns() const;
 
  private:
-  [[nodiscard]] std::vector<routing::RouteResult> execute_jobs(
-      const std::vector<RouteJob>& jobs, bool parallel,
-      RouteReport* report) const;
-
   struct PendingBatch {
     std::vector<std::pair<graph::NodeId, graph::NodeId>> pairs;
     Rng rng;
     std::promise<std::vector<routing::RouteResult>> promise;
-    /// When the batch entered the queue (Shed measures its wait from here).
-    std::chrono::steady_clock::time_point enqueued_at;
-    /// Virtual arrival time (submit's vtime overload); valid iff has_vtime.
-    double arrival_vtime = 0.0;
-    bool has_vtime = false;
+    /// Arrival on the service's clock (virtual or steady seconds).
+    double arrival = 0.0;
   };
 
   /// submit() body shared by both overloads.
@@ -517,10 +455,7 @@ class RouteService {
   const core::AugmentationScheme* scheme_;  // may be null
   const routing::Router& router_;
   RouteServiceOptions options_;
-
-  mutable std::mutex report_mutex_;
-  mutable BatchReport last_report_;
-  mutable ServiceTotals totals_;
+  bool virtual_time_ = false;  // virtual_pair_cost_seconds > 0
 
   // Metric storage. The owned registry backs metrics_ unless options.metrics
   // injected an external one; handles are registered once at construction.
@@ -544,10 +479,10 @@ class RouteService {
   obs::HistogramHandle queue_wait_ms_hist_;
   obs::HistogramHandle exec_ms_hist_;
   // Resilience counters (`resilience.*`): written on the thread that ran
-  // execute_jobs, after the batch completes — never from pool tasks.
+  // route_jobs, after the batch completes — never from pool tasks.
   // Registered LAZILY on the first degradation event (so a fault-free
   // service's scrape schema is unchanged); mutable because registration may
-  // happen inside const execute_jobs. Adaptive handles register at
+  // happen inside const route_jobs. Adaptive handles register at
   // construction, but only under the kAdaptive policy.
   mutable obs::Counter retries_;
   mutable obs::Counter fallback_routes_;

@@ -27,7 +27,8 @@
 //   // Batch routing service: target-sharded oracle reuse, deterministic,
 //   // always-on via submit() (see docs/ARCHITECTURE.md and docs/API.md):
 //   api::RouteService service(engine);
-//   auto batch = service.route_batch(pairs, Rng(9));
+//   auto report = service.route_batch(pairs, Rng(9));  // results + telemetry
+//   auto hops = report.results[0].steps;
 //
 //   // Demand models + admission-controlled load driving:
 //   auto zipf = workload::make_workload("zipf:1.1", engine.graph(), Rng(3));

@@ -40,38 +40,43 @@ std::vector<std::pair<NodeId, NodeId>> select_trial_pairs(
   return pairs;
 }
 
-PairEstimate estimate_routed_pair(const Router& router,
-                                  const graph::DistanceOracle& oracle,
-                                  NodeId s, NodeId t,
-                                  const core::AugmentationScheme* scheme,
-                                  std::size_t resamples, Rng rng,
-                                  bool parallel) {
-  NAV_REQUIRE(resamples >= 1, "need at least one resample");
-  // Warm the oracle for t once so parallel replicates share the BFS.
-  (void)oracle.distances_to(t);
+std::vector<std::pair<NodeId, NodeId>> trial_pairs(const Graph& g,
+                                                   const TrialConfig& config,
+                                                   const Rng& rng) {
+  Rng pair_rng = rng.child(0xA11);
+  return select_trial_pairs(g, config, pair_rng);
+}
 
-  std::vector<double> steps(resamples, 0.0);
-  std::vector<double> longs(resamples, 0.0);
+namespace {
+
+/// Replicate r of (s, t) routes on rng.child(r) into out[r]. The target's
+/// row is warmed first so parallel replicates share one BFS.
+void route_replicates(const Router& router,
+                      const graph::DistanceOracle& oracle, NodeId s, NodeId t,
+                      const core::AugmentationScheme* scheme, Rng rng,
+                      bool parallel, std::span<RouteResult> out) {
+  (void)oracle.distances_to(t);
   auto body = [&](std::size_t r) {
-    const auto result = router.route(s, t, scheme, rng.child(r));
-    steps[r] = static_cast<double>(result.steps);
-    longs[r] = static_cast<double>(result.long_links_used);
+    out[r] = router.route(s, t, scheme, rng.child(r));
   };
   if (parallel) {
-    nav::parallel_for(0, resamples, body);
+    nav::parallel_for(0, out.size(), body);
   } else {
-    for (std::size_t r = 0; r < resamples; ++r) body(r);
+    for (std::size_t r = 0; r < out.size(); ++r) body(r);
   }
+}
 
+PairEstimate fold_pair(NodeId s, NodeId t,
+                       std::span<const RouteResult> replicates) {
   nav::RunningStats step_stats, long_stats;
-  for (std::size_t r = 0; r < resamples; ++r) {
-    step_stats.add(steps[r]);
-    long_stats.add(longs[r]);
+  for (const auto& result : replicates) {
+    step_stats.add(static_cast<double>(result.steps));
+    long_stats.add(static_cast<double>(result.long_links_used));
   }
   PairEstimate est;
   est.s = s;
   est.t = t;
-  est.distance = oracle.distance(s, t);
+  est.distance = replicates.front().initial_distance;
   est.mean_steps = step_stats.mean();
   est.ci_halfwidth = step_stats.ci_halfwidth();
   est.max_steps = step_stats.max();
@@ -79,27 +84,20 @@ PairEstimate estimate_routed_pair(const Router& router,
   return est;
 }
 
-GreedyDiameterEstimate estimate_routed_diameter(
-    const Router& router, const core::AugmentationScheme* scheme,
-    const graph::DistanceOracle& oracle, const TrialConfig& config, Rng rng) {
-  const Graph& g = router.graph();
-  NAV_REQUIRE(g.num_nodes() >= 2, "graph too small to route");
-  Rng pair_rng = rng.child(0xA11);
-  const auto pairs = select_trial_pairs(g, config, pair_rng);
-  NAV_REQUIRE(!pairs.empty(), "no source/target pairs selected");
+}  // namespace
 
+GreedyDiameterEstimate fold_trial_grid(
+    std::span<const std::pair<NodeId, NodeId>> pairs, std::size_t resamples,
+    std::span<const RouteResult> results) {
+  NAV_REQUIRE(resamples >= 1 && results.size() == pairs.size() * resamples,
+              "trial grid shape mismatch");
   GreedyDiameterEstimate out;
-  out.pairs.resize(pairs.size());
-  // Parallelism lives inside estimate_routed_pair (over resamples); pairs
-  // run sequentially so each target's BFS is computed once and reused.
-  for (std::size_t p = 0; p < pairs.size(); ++p) {
-    out.pairs[p] = estimate_routed_pair(router, oracle, pairs[p].first,
-                                        pairs[p].second, scheme,
-                                        config.resamples, rng.child(p + 1),
-                                        config.parallel);
-  }
+  out.pairs.reserve(pairs.size());
   nav::RunningStats all;
-  for (const auto& pe : out.pairs) {
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    const auto& pe = out.pairs.emplace_back(
+        fold_pair(pairs[p].first, pairs[p].second,
+                  results.subspan(p * resamples, resamples)));
     all.add(pe.mean_steps);
     if (pe.mean_steps > out.max_mean_steps) {
       out.max_mean_steps = pe.mean_steps;
@@ -107,8 +105,41 @@ GreedyDiameterEstimate estimate_routed_diameter(
     }
   }
   out.overall_mean_steps = all.mean();
-  out.trials = pairs.size() * config.resamples;
+  out.trials = results.size();
   return out;
+}
+
+PairEstimate estimate_routed_pair(const Router& router,
+                                  const graph::DistanceOracle& oracle,
+                                  NodeId s, NodeId t,
+                                  const core::AugmentationScheme* scheme,
+                                  std::size_t resamples, Rng rng,
+                                  bool parallel) {
+  NAV_REQUIRE(resamples >= 1, "need at least one resample");
+  std::vector<RouteResult> results(resamples);
+  route_replicates(router, oracle, s, t, scheme, rng, parallel, results);
+  return fold_pair(s, t, results);
+}
+
+GreedyDiameterEstimate estimate_routed_diameter(
+    const Router& router, const core::AugmentationScheme* scheme,
+    const graph::DistanceOracle& oracle, const TrialConfig& config, Rng rng) {
+  const Graph& g = router.graph();
+  NAV_REQUIRE(g.num_nodes() >= 2, "graph too small to route");
+  NAV_REQUIRE(config.resamples >= 1, "need at least one resample");
+  const auto pairs = trial_pairs(g, config, rng);
+  NAV_REQUIRE(!pairs.empty(), "no source/target pairs selected");
+
+  // Replicates of one pair run on the pool; pairs run sequentially so
+  // each target's BFS is computed once and reused.
+  const std::size_t resamples = config.resamples;
+  std::vector<RouteResult> results(pairs.size() * resamples);
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    route_replicates(router, oracle, pairs[p].first, pairs[p].second, scheme,
+                     rng.child(p + 1), /*parallel=*/true,
+                     std::span(results).subspan(p * resamples, resamples));
+  }
+  return fold_trial_grid(pairs, resamples, results);
 }
 
 PairEstimate estimate_pair(const Graph& g,

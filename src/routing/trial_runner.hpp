@@ -15,11 +15,15 @@
 // classic `estimate_greedy_diameter` / `estimate_pair` names remain as
 // greedy-router conveniences.
 //
-// Determinism: trial (pair p, replicate r) uses rng.child(p).child(r); the
-// result is independent of thread count and schedule.
+// Determinism: trial (pair p, replicate r) uses rng.child(p + 1).child(r)
+// and the pairs come from rng.child(0xA11) (trial_pairs); the result is
+// independent of thread count and schedule. api::RouteService routes the
+// same grid as one target-sharded batch and folds it with the same
+// fold_trial_grid.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "routing/greedy_router.hpp"
@@ -32,7 +36,6 @@ struct TrialConfig {
   PairPolicy policy = PairPolicy::kPeripheralPlusRandom;
   std::size_t num_pairs = 24;   // random pairs (ignored for kAllPairs)
   std::size_t resamples = 16;   // augmentation redraws per pair
-  bool parallel = true;         // use the global thread pool
 };
 
 struct PairEstimate {
@@ -58,6 +61,19 @@ struct GreedyDiameterEstimate {
 /// first (policy-dependent), then random distinct pairs drawn from `rng`.
 [[nodiscard]] std::vector<std::pair<NodeId, NodeId>> select_trial_pairs(
     const Graph& g, const TrialConfig& config, Rng& rng);
+
+/// The pairs an estimation rooted at `rng` selects: select_trial_pairs on
+/// the rng.child(0xA11) sub-stream, the address every estimator uses.
+[[nodiscard]] std::vector<std::pair<NodeId, NodeId>> trial_pairs(
+    const Graph& g, const TrialConfig& config, const Rng& rng);
+
+/// Folds a pair × replicate grid of routes into the estimate: results are
+/// pair-major (results[p * resamples + r] is replicate r of pairs[p]),
+/// replicates accumulate in index order per pair, then pair means in pair
+/// order. Each pair's distance is its first replicate's initial_distance.
+[[nodiscard]] GreedyDiameterEstimate fold_trial_grid(
+    std::span<const std::pair<NodeId, NodeId>> pairs, std::size_t resamples,
+    std::span<const RouteResult> results);
 
 /// Runs the estimation under an arbitrary routing process. `scheme` may be
 /// nullptr (no long links). The graph is the router's own (router.graph()),

@@ -118,8 +118,15 @@ WorkloadReport TrafficDriver::run(Rng rng) {
 
   // Collects batch b's future into the report (FIFO completion order).
   const auto collect = [&](std::size_t b) {
+    // future::get() releases the batch's shared state before a handler
+    // runs, so the service thread could free a caught ShedError while
+    // e.reason() reads it, ordered only by the exception's refcount inside
+    // the (uninstrumented) runtime library. Holding the state in a
+    // shared_future until the handlers finish orders that release through
+    // the state's own reference count, which ThreadSanitizer sees.
+    const auto done = futures[b].share();
     try {
-      auto results = futures[b].get();
+      const auto& results = done.get();
       report.batches[b].sojourn_seconds = wall.seconds() - submitted_at[b];
       sojourn_ms.push_back(report.batches[b].sojourn_seconds * 1e3);
       sojourn_hist.observe(report.batches[b].sojourn_seconds * 1e3);
@@ -136,7 +143,7 @@ WorkloadReport TrafficDriver::run(Rng rng) {
                             static_cast<double>(result.initial_distance));
         }
       }
-      if (options_.keep_results) report.results[b] = std::move(results);
+      if (options_.keep_results) report.results[b] = results;
     } catch (const api::ShedError& e) {
       report.batches[b].sojourn_seconds = wall.seconds() - submitted_at[b];
       if (e.reason() == api::ShedError::Reason::kRejected) {
@@ -178,9 +185,9 @@ WorkloadReport TrafficDriver::run(Rng rng) {
     submitted_at[b] = wall.seconds();
     // Routing streams live in their own subtree (0xB47) so no batch index
     // can collide with the generation (0x6e4) or arrival (0xA881) streams.
-    // The virtual arrival time rides along: the service only evaluates it
-    // when its own virtual_pair_cost_seconds opts in (deterministic Shed /
-    // Adaptive); otherwise the submit is identical to the vtime-free one.
+    // The virtual arrival time rides along: a virtual-time service
+    // (virtual_pair_cost_seconds > 0) admits on it deterministically; a
+    // steady-time service ignores it.
     futures.push_back(service_.submit(std::move(pairs),
                                       rng.child(0xB47).child(b), arrivals[b]));
     report.batches.push_back(trace);
@@ -233,8 +240,7 @@ WorkloadReport TrafficDriver::run(Rng rng) {
   // Adaptive-run summary: deterministic virtual sojourns of the batches
   // this run actually served, and the strict p99-vs-SLO verdict.
   const auto& admission = service_.options().admission;
-  if (admission.kind == api::AdmissionPolicy::Kind::kAdaptive &&
-      service_.options().virtual_pair_cost_seconds > 0.0) {
+  if (admission.kind == api::AdmissionPolicy::Kind::kAdaptive) {
     report.adaptive = true;
     report.slo_seconds = admission.slo_seconds;
     const auto vsojourns = service_.virtual_sojourns();

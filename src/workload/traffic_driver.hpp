@@ -22,7 +22,8 @@
 // dedicated subtree, collision-free with the other streams at any batch
 // count) and pair generation consumes rng.child(0x6e4) sequentially, so
 // every admitted batch routes bit-identically to
-// `service.route_batch(workload.batch(size, g), rng.child(0xB47).child(b))`
+// `service.route_batch(workload.batch(size, g), rng.child(0xB47).child(b))
+// .results`
 // — asserted by the test suite. Queue depths and sojourn times are
 // wall-clock observations and are NOT deterministic; everything about the
 // demand and the routes is.

@@ -79,15 +79,15 @@ TEST(NavigationEngine, RouteManyMatchesSequentialRouting) {
     pairs.emplace_back(s, t);
   }
   const Rng batch_rng(4);
-  const auto parallel = engine.route_many(pairs, batch_rng, true);
-  const auto serial = engine.route_many(pairs, batch_rng, false);
-  ASSERT_EQ(parallel.size(), pairs.size());
-  ASSERT_EQ(serial.size(), pairs.size());
+  const auto batch = engine.route_many(pairs, batch_rng);
+  ASSERT_EQ(batch.size(), pairs.size());
   for (std::size_t i = 0; i < pairs.size(); ++i) {
-    EXPECT_TRUE(parallel[i].reached);
+    EXPECT_TRUE(batch[i].reached);
     // Pair i derives from rng.child(i): thread schedule cannot matter.
-    EXPECT_EQ(parallel[i].steps, serial[i].steps);
-    EXPECT_EQ(parallel[i].long_links_used, serial[i].long_links_used);
+    const auto serial =
+        engine.route(pairs[i].first, pairs[i].second, batch_rng.child(i));
+    EXPECT_EQ(batch[i].steps, serial.steps);
+    EXPECT_EQ(batch[i].long_links_used, serial.long_links_used);
   }
 }
 

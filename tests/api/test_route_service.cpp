@@ -1,5 +1,5 @@
 // test_route_service.cpp — the batch engine's contract: target sharding and
-// batch splitting are pure execution concerns; every result bit matches
+// batch/wave splitting are pure execution concerns; every result bit matches
 // sequential per-pair routing for the same seed.
 #include "api/route_service.hpp"
 
@@ -57,15 +57,8 @@ TEST(RouteService, ShardedBatchBitIdenticalToSequentialRouting) {
                                     rng.child(i)));
   }
 
-  for (const bool parallel : {false, true}) {
-    for (const bool shard : {false, true}) {
-      RouteServiceOptions options;
-      options.parallel = parallel;
-      options.shard_by_target = shard;
-      const RouteService service(engine, options);
-      expect_same_results(service.route_batch(pairs, rng), expected);
-    }
-  }
+  const RouteService service(engine);
+  expect_same_results(service.route_batch(pairs, rng).results, expected);
 }
 
 TEST(RouteService, BatchSplitDoesNotChangeResults) {
@@ -77,7 +70,7 @@ TEST(RouteService, BatchSplitDoesNotChangeResults) {
   const auto pairs = mixed_target_pairs(engine.graph().num_nodes(), 48, 7, 2);
   const Rng rng(7);
   const RouteService service(engine);
-  const auto whole = service.route_batch(pairs, rng);
+  const auto whole = service.route_batch(pairs, rng).results;
 
   for (const std::size_t split : {1u, 13u, 24u, 47u}) {
     std::vector<RouteJob> head, tail;
@@ -85,8 +78,8 @@ TEST(RouteService, BatchSplitDoesNotChangeResults) {
       auto& side = (i < split) ? head : tail;
       side.push_back({pairs[i].first, pairs[i].second, rng.child(i)});
     }
-    auto glued = service.route_jobs(std::move(head));
-    const auto rest = service.route_jobs(std::move(tail));
+    auto glued = service.route_jobs(std::move(head)).results;
+    const auto rest = service.route_jobs(std::move(tail)).results;
     glued.insert(glued.end(), rest.begin(), rest.end());
     expect_same_results(glued, whole);
   }
@@ -94,34 +87,34 @@ TEST(RouteService, BatchSplitDoesNotChangeResults) {
 
 TEST(RouteService, ShardingCutsBfsChurnAtCacheOracleSizes) {
   // A small LRU + interleaved targets: per-pair order thrashes (most pairs
-  // miss), target shards pay exactly one BFS per distinct target — even in
-  // parallel and even across multiple prefetch waves, because shards route
-  // through wave-pinned vectors instead of re-querying the oracle.
+  // miss), target shards pay exactly one BFS per distinct target — even
+  // across multiple prefetch waves, because shards route through
+  // wave-pinned vectors instead of re-querying the oracle.
   Rng graph_rng(3);
   const auto g = graph::family("grid2d").make(400, graph_rng);
   const std::size_t distinct = 16;
   const auto pairs = mixed_target_pairs(g.num_nodes(), 128, distinct, 4);
 
-  const auto run = [&](bool shard, bool parallel, std::size_t wave) {
+  {
+    // The per-pair baseline: one direct route per pair, request order.
     graph::TargetDistanceCache cache(g, 4);  // capacity << distinct targets
     const auto router = routing::make_router("greedy", g, cache);
+    const Rng rng(5);
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      (void)router->route(pairs[i].first, pairs[i].second, nullptr,
+                          rng.child(i));
+    }
+    EXPECT_GT(cache.misses(), 4 * distinct);
+  }
+  for (const std::size_t wave : {static_cast<std::size_t>(3),
+                                 static_cast<std::size_t>(512)}) {
+    graph::TargetDistanceCache cache(g, 4);
+    const auto router = routing::make_router("greedy", g, cache);
     RouteServiceOptions options;
-    options.parallel = parallel;
-    options.shard_by_target = shard;
     options.max_pinned_targets = wave;
     const RouteService service(g, cache, nullptr, *router, options);
     (void)service.route_batch(pairs, Rng(5));
-    return cache.misses();
-  };
-
-  const auto thrashing_misses = run(false, false, 512);
-  EXPECT_GT(thrashing_misses, 4 * distinct);
-  for (const bool parallel : {false, true}) {
-    for (const std::size_t wave : {static_cast<std::size_t>(3),
-                                   static_cast<std::size_t>(512)}) {
-      EXPECT_EQ(run(true, parallel, wave), distinct)
-          << "parallel=" << parallel << " wave=" << wave;
-    }
+    EXPECT_EQ(cache.misses(), distinct) << "wave=" << wave;
   }
 }
 
@@ -131,11 +124,12 @@ TEST(RouteService, WaveSplitDoesNotChangeResults) {
   auto engine = NavigationEngine::from_family("grid2d", 400);
   engine.use_scheme("uniform");
   const auto pairs = mixed_target_pairs(engine.graph().num_nodes(), 60, 11, 6);
-  const auto whole = RouteService(engine).route_batch(pairs, Rng(3));
+  const auto whole = RouteService(engine).route_batch(pairs, Rng(3)).results;
   RouteServiceOptions tiny_waves;
   tiny_waves.max_pinned_targets = 2;
   expect_same_results(
-      RouteService(engine, tiny_waves).route_batch(pairs, Rng(3)), whole);
+      RouteService(engine, tiny_waves).route_batch(pairs, Rng(3)).results,
+      whole);
 }
 
 TEST(RouteService, UnreachablePairThrowsOnTheCallingThread) {
@@ -153,7 +147,7 @@ TEST(RouteService, UnreachablePairThrowsOnTheCallingThread) {
   EXPECT_THROW((void)future.get(), std::invalid_argument);
   // Same-component routing still works afterwards.
   EXPECT_EQ(service.route_batch(std::vector<Pair>{{3, 5}}, Rng(2))
-                .at(0)
+                .results.at(0)
                 .steps,
             2u);
 }
@@ -173,9 +167,9 @@ TEST(RouteService, SubmitDeliversFailuresThroughTheFuture) {
 }
 
 TEST(RouteService, EstimateDiameterMatchesTrialRunnerBitForBit) {
-  // The Experiment rewiring contract: the batched estimator must reproduce
-  // routing::estimate_routed_diameter exactly — same pair selection, same
-  // child streams, same accumulation order.
+  // The Experiment rewiring contract: handed the trial_pairs selection, the
+  // batched estimator must reproduce routing::estimate_routed_diameter
+  // exactly — same child streams, same accumulation order.
   auto engine = NavigationEngine::from_family("grid2d", 256);
   engine.use_scheme("ml");
   routing::TrialConfig config;
@@ -185,7 +179,8 @@ TEST(RouteService, EstimateDiameterMatchesTrialRunnerBitForBit) {
 
   const auto reference = routing::estimate_routed_diameter(
       engine.router(), engine.scheme(), engine.oracle(), config, rng);
-  const auto batched = RouteService(engine).estimate_diameter(config, rng);
+  const auto batched = RouteService(engine).estimate_diameter(
+      config, rng, routing::trial_pairs(engine.graph(), config, rng));
 
   EXPECT_DOUBLE_EQ(batched.max_mean_steps, reference.max_mean_steps);
   EXPECT_DOUBLE_EQ(batched.overall_mean_steps, reference.overall_mean_steps);
@@ -221,35 +216,43 @@ TEST(RouteService, SubmitServesQueuedBatches) {
   for (std::size_t b = 0; b < batches.size(); ++b) {
     const auto async_results = futures[b].get();
     expect_same_results(async_results,
-                        service.route_batch(batches[b], Rng(b)));
+                        service.route_batch(batches[b], Rng(b)).results);
   }
-  EXPECT_GE(service.totals().batches, 10u);
-  EXPECT_GT(service.totals().pairs, 0u);
+  // Every batch, queued or direct, runs the one execute path and lands in
+  // its execution histogram.
+  const auto scrape = service.metrics().scrape();
+  const auto* exec_ms = scrape.find_histogram("route_service.exec_ms");
+  ASSERT_NE(exec_ms, nullptr);
+  EXPECT_EQ(exec_ms->total(), 10u);
+  EXPECT_EQ(service.queue_stats().executed_batches, 5u);
 }
 
 TEST(RouteService, ReportsShardTelemetry) {
   auto engine = NavigationEngine::from_family("path", 128);
   const RouteService service(engine);
   const auto pairs = mixed_target_pairs(128, 30, 5, 9);
-  (void)service.route_batch(pairs, Rng(1));
-  const auto report = service.last_report();
-  EXPECT_EQ(report.pairs, 30u);
-  EXPECT_EQ(report.distinct_targets, 5u);
-  EXPECT_EQ(report.shards, 5u);
-  EXPECT_GE(report.seconds, 0.0);
+  const auto report = service.route_batch(pairs, Rng(1));
+  EXPECT_EQ(report.results.size(), 30u);
+  EXPECT_EQ(report.batch.pairs, 30u);
+  EXPECT_EQ(report.batch.distinct_targets, 5u);
+  EXPECT_GE(report.batch.seconds, 0.0);
+  EXPECT_EQ(report.exact_pairs, 30u);
 }
 
 TEST(RouteService, EmptyBatch) {
   auto engine = NavigationEngine::from_family("path", 16);
   const RouteService service(engine);
-  EXPECT_TRUE(service.route_batch(std::vector<Pair>{}, Rng(1)).empty());
-  EXPECT_EQ(service.last_report().shards, 0u);
+  const auto report = service.route_batch(std::vector<Pair>{}, Rng(1));
+  EXPECT_TRUE(report.results.empty());
+  EXPECT_EQ(report.batch.pairs, 0u);
+  EXPECT_EQ(report.batch.distinct_targets, 0u);
 }
 
 TEST(RouteService, ExplicitPairsEstimateMatchesSelectingOverload) {
   // The workload-axis entry point: handing estimate_diameter the exact
-  // select_trial_pairs output must reproduce the selecting overload bit for
-  // bit (same per-pair child streams, same accumulation).
+  // trial_pairs selection must reproduce the selecting front end,
+  // NavigationEngine::estimate_diameter, bit for bit (same per-pair child
+  // streams, same accumulation).
   auto engine = NavigationEngine::from_family("grid2d", 196);
   engine.use_scheme("ball");
   routing::TrialConfig config;
@@ -262,7 +265,7 @@ TEST(RouteService, ExplicitPairsEstimateMatchesSelectingOverload) {
   const auto pairs =
       routing::select_trial_pairs(engine.graph(), config, pair_rng);
   const auto explicit_estimate = service.estimate_diameter(config, rng, pairs);
-  const auto selecting_estimate = service.estimate_diameter(config, rng);
+  const auto selecting_estimate = engine.estimate_diameter(config, rng);
 
   EXPECT_DOUBLE_EQ(explicit_estimate.max_mean_steps,
                    selecting_estimate.max_mean_steps);

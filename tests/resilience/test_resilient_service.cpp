@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <future>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -69,7 +70,7 @@ TEST(ResilientService, ChaosBatchCompletesWithMostPairsServed) {
   FaultedStack stack(engine, "faulty:cache:16:fail:0.05:stall:0.05:seed:5",
                      options);
 
-  const auto report = stack.service.route_batch_report(pairs, Rng(42));
+  const auto report = stack.service.route_batch(pairs, Rng(42));
   ASSERT_EQ(report.results.size(), pairs.size());
   ASSERT_EQ(report.status.size(), pairs.size());
   EXPECT_EQ(report.exact_pairs + report.degraded_pairs + report.failed_pairs,
@@ -95,7 +96,7 @@ TEST(ResilientService, SameSeedChaosRunsAreBitIdentical) {
     options.resilience.tolerate_faults = true;
     FaultedStack stack(engine, "faulty:cache:16:fail:0.1:stall:0.1:seed:9",
                        options);
-    return stack.service.route_batch_report(pairs, Rng(7));
+    return stack.service.route_batch(pairs, Rng(7));
   };
   const auto a = run();
   const auto b = run();
@@ -129,7 +130,7 @@ TEST(ResilientService, FallbackChainRoutesThroughTheLandmarkTier) {
   FaultedStack stack(engine, "faulty:cache:16:fail:1.0", options);
 
   const auto pairs = mixed_pairs(400, 32, 8, 0xE2);
-  const auto report = stack.service.route_batch_report(pairs, Rng(3));
+  const auto report = stack.service.route_batch(pairs, Rng(3));
   EXPECT_EQ(report.exact_pairs, 0u);
   EXPECT_EQ(report.degraded_pairs, pairs.size());
   EXPECT_EQ(report.failed_pairs, 0u);
@@ -158,7 +159,7 @@ TEST(ResilientService, DeadlineBudgetShortCircuitsToTheFallback) {
   FaultedStack stack(engine, "faulty:cache:16:fail:1.0", options);
 
   const auto pairs = mixed_pairs(400, 16, 4, 0xF3);
-  const auto report = stack.service.route_batch_report(pairs, Rng(4));
+  const auto report = stack.service.route_batch(pairs, Rng(4));
   EXPECT_TRUE(report.deadline_breached);
   EXPECT_EQ(report.retries, 1u);
   EXPECT_EQ(report.degraded_pairs, pairs.size());
@@ -176,7 +177,7 @@ TEST(ResilientService, ToleratedFaultsReportFailedPairs) {
   FaultedStack stack(engine, "faulty:cache:16:fail:1.0", options);
 
   const auto pairs = mixed_pairs(400, 12, 3, 0xA4);
-  const auto report = stack.service.route_batch_report(pairs, Rng(5));
+  const auto report = stack.service.route_batch(pairs, Rng(5));
   EXPECT_EQ(report.failed_pairs, pairs.size());
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     EXPECT_EQ(report.status[i], DegradationStatus::kFailed) << i;
@@ -217,7 +218,7 @@ TEST(ResilientService, StalledRowsFlowThroughSubmitPrefetchWaves) {
 
   // Stall membership is attempt-independent, so the same stack's synchronous
   // path replays identically — submit()'s waves changed nothing.
-  const auto report = stack.service.route_batch_report(pairs, Rng(11));
+  const auto report = stack.service.route_batch(pairs, Rng(11));
   std::size_t unreached = 0;
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     EXPECT_EQ(via_submit[i].steps, report.results[i].steps) << i;
@@ -263,7 +264,7 @@ TEST(ResilientService, StalledFieldReportsUnreachedNotThrown) {
   RouteService service(g, flat, nullptr, *router);
   // Far pairs: no neighbour of the source ever improves the flat bound.
   const std::vector<Pair> pairs = {{0, 99}, {9, 90}, {0, 55}};
-  const auto report = service.route_batch_report(pairs, Rng(13));
+  const auto report = service.route_batch(pairs, Rng(13));
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     EXPECT_FALSE(report.results[i].reached) << i;
     EXPECT_EQ(report.status[i], DegradationStatus::kDegraded) << i;
@@ -296,8 +297,11 @@ TEST(ResilientService, VirtualShedCarriesStructuredContext) {
 
   EXPECT_EQ(futures[0].get().size(), pairs.size());
   bool caught = false;
+  // shared_future keeps the state (and so the ShedError) alive until the
+  // handler is done reading it; see TrafficDriver::run.
+  const auto shed = futures[1].share();
   try {
-    (void)futures[1].get();
+    (void)shed.get();
   } catch (const ShedError& e) {
     caught = true;
     EXPECT_EQ(e.reason(), ShedError::Reason::kDeadline);
@@ -344,8 +348,10 @@ TEST(ResilientService, AdaptiveAdmissionIsDeterministic) {
     service.resume();
     Outcome out;
     for (auto& future : futures) {
+      // Held across the handler, as in VirtualShedCarriesStructuredContext.
+      const auto done = future.share();
       try {
-        (void)future.get();
+        (void)done.get();
         out.rejected.push_back(false);
       } catch (const ShedError& e) {
         EXPECT_EQ(e.reason(), ShedError::Reason::kRejected);
@@ -415,6 +421,65 @@ TEST(ResilientService, AdaptivePolicyValidatesItsConfiguration) {
                std::invalid_argument);
   EXPECT_THROW((void)AdmissionPolicy::adaptive(0.0), std::invalid_argument);
   EXPECT_THROW((void)AdmissionPolicy::adaptive(-1.0), std::invalid_argument);
+
+  // Numeric options are validated at construction: a negative pair cost
+  // would silently select the steady clock, a non-finite one poisons every
+  // virtual instant.
+  const auto build = [&](const RouteServiceOptions& options) {
+    return RouteService(engine.graph(), engine.oracle(), engine.scheme(),
+                        engine.router(), options);
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {-1e-3, nan, inf}) {
+    RouteServiceOptions cost;
+    cost.virtual_pair_cost_seconds = bad;
+    EXPECT_THROW(build(cost), std::invalid_argument) << bad;
+    RouteServiceOptions backoff;
+    backoff.resilience.backoff_base_seconds = bad;
+    EXPECT_THROW(build(backoff), std::invalid_argument) << bad;
+    RouteServiceOptions deadline;
+    deadline.resilience.batch_deadline_seconds = bad;
+    EXPECT_THROW(build(deadline), std::invalid_argument) << bad;
+  }
+  // A fallback router without a fallback oracle would be silently unused.
+  RouteServiceOptions router_only;
+  router_only.resilience.fallback_router = &engine.router();
+  EXPECT_THROW(build(router_only), std::invalid_argument);
+  // The boundaries stay valid.
+  RouteServiceOptions zeros;
+  zeros.resilience.backoff_base_seconds = 0.0;
+  zeros.resilience.batch_deadline_seconds = 0.0;
+  EXPECT_NO_THROW(build(zeros));
+}
+
+TEST(ResilientService, VirtualTimeServiceRejectsPlainSubmit) {
+  // The clock is fixed at construction: a virtual-time service admits only
+  // batches that carry a virtual arrival, so a plain submit() can never
+  // bypass the Adaptive window or age on the wrong clock under Shed.
+  auto engine = NavigationEngine::from_family("grid2d", 100);
+  engine.use_scheme("uniform");
+  const std::vector<Pair> pairs = {{0, 99}, {5, 50}};
+  RouteServiceOptions adaptive;
+  adaptive.admission = AdmissionPolicy::adaptive(0.05);
+  adaptive.virtual_pair_cost_seconds = 0.0078125;
+  RouteServiceOptions virtual_shed;
+  virtual_shed.admission = AdmissionPolicy::shed(0.1);
+  virtual_shed.virtual_pair_cost_seconds = 0.0078125;
+  for (const auto& options : {adaptive, virtual_shed}) {
+    RouteService service(engine.graph(), engine.oracle(), engine.scheme(),
+                         engine.router(), options);
+    EXPECT_THROW((void)service.submit(pairs, Rng(1)), std::invalid_argument);
+    EXPECT_EQ(service.queue_stats().submitted_batches, 0u);
+    // The vtime path still serves.
+    EXPECT_EQ(service.submit(pairs, Rng(1), 0.0).get().size(), pairs.size());
+    EXPECT_EQ(service.virtual_sojourns().size(), 1u);
+  }
+  // A steady-time service ignores the virtual arrival it is handed.
+  RouteService steady(engine.graph(), engine.oracle(), engine.scheme(),
+                      engine.router());
+  EXPECT_EQ(steady.submit(pairs, Rng(1), 123.0).get().size(), pairs.size());
+  EXPECT_TRUE(steady.virtual_sojourns().empty());
 }
 
 TEST(ResilientService, ShedErrorFormatsItsStructuredContext) {

@@ -61,7 +61,7 @@ TEST(ArrivalSchedule, PoissonTimesAreDeterministicAndIncreasing) {
 TEST(TrafficDriver, AdmittedBatchesRouteBitIdenticallyToSequential) {
   // The open-loop schedule, the submit() queue, and the service thread are
   // pure execution concerns: batch b still routes exactly like a standalone
-  // route_batch(workload.batch(...), rng.child(0xB47).child(b)).
+  // route_batch(workload.batch(...), rng.child(0xB47).child(b)).results.
   const auto engine = make_engine();
   RouteService service(engine);
   const auto workload = engine.make_workload("hotset:6:0.7", 0xBEEF);
@@ -86,7 +86,8 @@ TEST(TrafficDriver, AdmittedBatchesRouteBitIdenticallyToSequential) {
   Rng gen_rng = rng.child(0x6e4);
   for (std::size_t b = 0; b < 8; ++b) {
     const auto pairs = reference_workload->batch(32, gen_rng);
-    const auto expected = reference.route_batch(pairs, rng.child(0xB47).child(b));
+    const auto expected =
+        reference.route_batch(pairs, rng.child(0xB47).child(b)).results;
     ASSERT_EQ(report.results[b].size(), expected.size()) << b;
     for (std::size_t i = 0; i < expected.size(); ++i) {
       EXPECT_EQ(report.results[b][i].steps, expected[i].steps) << b;
@@ -139,7 +140,8 @@ TEST(TrafficDriver, BoundedAdmissionBlocksUnderSaturatingBurst) {
   Rng gen_rng = rng.child(0x6e4);
   for (std::size_t b = 0; b < 6; ++b) {
     const auto pairs = reference_workload->batch(32, gen_rng);
-    const auto expected = reference.route_batch(pairs, rng.child(0xB47).child(b));
+    const auto expected =
+        reference.route_batch(pairs, rng.child(0xB47).child(b)).results;
     ASSERT_EQ(report.results[b].size(), expected.size()) << b;
     for (std::size_t i = 0; i < expected.size(); ++i) {
       EXPECT_EQ(report.results[b][i].steps, expected[i].steps) << b;
