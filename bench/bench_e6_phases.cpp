@@ -26,12 +26,12 @@ struct PhaseBreakdown {
 };
 
 /// Distance threshold d such that |{v : dist(v,t) <= d}| >= size.
-graph::Dist ball_radius_for_size(std::span<const graph::Dist> dist_to_t,
+graph::Dist ball_radius_for_size(const graph::DistRow& dist_to_t,
                                  std::size_t size) {
   std::vector<graph::Dist> sorted;
   sorted.reserve(dist_to_t.size());
-  for (const auto d : dist_to_t) {
-    if (d != graph::kInfDist) sorted.push_back(d);
+  for (std::size_t v = 0; v < dist_to_t.size(); ++v) {
+    if (dist_to_t[v] != graph::kInfDist) sorted.push_back(dist_to_t[v]);
   }
   std::sort(sorted.begin(), sorted.end());
   const std::size_t idx = std::min(size, sorted.size()) - 1;

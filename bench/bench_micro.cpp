@@ -434,6 +434,88 @@ void run_landmark_stretch_cells(bench::Harness& h) {
   }
 }
 
+// ---- M5: greedy routing over packed rows ----------------------------------
+// Hand-timed like M1: one fixed pair set per family, routed through
+// GreedyRouter::route_row over rows pinned from caches of the same capacity
+// at each storage width. A width too narrow for the graph saturates and is
+// skipped: torus2d 2^16 has diameter 256, past u8's max finite 254, so it
+// runs u16 and u32 only. Routes use local links only, so a hop is pure row
+// reads: ns_per_hop (loose) is the cost of a greedy step at that width.
+// hops and allocs_per_route are strict — equal hop totals across widths
+// show the rows decode alike, and a warm route must not allocate.
+void run_packed_routing_cells(bench::Harness& h) {
+  using graph::DistWidth;
+  using graph::NodeId;
+  constexpr unsigned kExponent = 16;
+  constexpr std::size_t kTargets = 16;
+  constexpr std::size_t kPairsPerTarget = 16;
+  const std::size_t reps = h.quick() ? 4 : 32;
+  const auto n = NodeId{1} << kExponent;
+  for (const std::string& family :
+       {std::string("torus2d"), std::string("gnp8")}) {
+    Rng rng(h.seed(0xB5F5));
+    graph::Graph g;
+    if (family == "torus2d") {
+      const auto side = NodeId{1} << (kExponent / 2);
+      g = graph::make_torus2d(side, n / side);
+    } else {
+      g = graph::make_connected_gnp(n, 8.0 / static_cast<double>(n), rng);
+    }
+    std::vector<NodeId> targets;
+    std::vector<NodeId> sources;  // kPairsPerTarget per target, in order
+    for (std::size_t k = 0; k < kTargets; ++k) {
+      targets.push_back(static_cast<NodeId>(random_index(rng, g.num_nodes())));
+      for (std::size_t i = 0; i < kPairsPerTarget; ++i) {
+        sources.push_back(static_cast<NodeId>(random_index(rng, g.num_nodes())));
+      }
+    }
+    for (const DistWidth width :
+         {DistWidth::kU8, DistWidth::kU16, DistWidth::kU32}) {
+      const graph::TargetDistanceCache cache(g, kTargets, {}, width);
+      const routing::GreedyRouter router(g, cache);
+      std::vector<graph::DistVecPtr> rows;
+      try {
+        cache.prefetch_into(targets, rows);
+      } catch (const std::invalid_argument&) {
+        continue;  // the graph's distances do not fit this width
+      }
+      const auto route_all = [&] {
+        std::uint64_t hops = 0;
+        for (std::size_t p = 0; p < sources.size(); ++p) {
+          const std::size_t k = p / kPairsPerTarget;
+          hops += router
+                      .route_row(sources[p], targets[k], *rows[k], nullptr,
+                                 Rng(p))
+                      .steps;
+        }
+        return hops;
+      };
+      const std::uint64_t hops = route_all();  // warm: rows, caches, stacks
+      const std::uint64_t allocs_before = nav::allocation_count();
+      benchmark::DoNotOptimize(route_all());
+      const double allocs_per_route =
+          static_cast<double>(nav::allocation_count() - allocs_before) /
+          static_cast<double>(sources.size());
+      nav::Timer timer;
+      std::uint64_t timed_hops = 0;
+      for (std::size_t r = 0; r < reps; ++r) timed_hops += route_all();
+      const double ns_per_hop =
+          timer.seconds() * 1e9 / static_cast<double>(timed_hops);
+      h.add_cell({{"family", family},
+                  {"kernel", std::string("greedy_route_row")},
+                  {"width", std::string(graph::width_token(width))},
+                  {"n", static_cast<double>(g.num_nodes())},
+                  {"hops", static_cast<double>(hops)},
+                  {"allocs_per_route", allocs_per_route},
+                  {"ns_per_hop", ns_per_hop}});
+      std::printf(
+          "  %-7s n=2^%-2u %-4s hops %8llu  %6.2f ns/hop  allocs/route %.0f\n",
+          family.c_str(), kExponent, graph::width_token(width),
+          static_cast<unsigned long long>(hops), ns_per_hop, allocs_per_route);
+    }
+  }
+}
+
 /// ConsoleReporter plus trajectory capture: every per-iteration run becomes
 /// one harness cell keyed by benchmark name; timings and rates are loose
 /// metrics by construction.
@@ -471,7 +553,7 @@ int main(int argc, char** argv) {
   bench::Harness h("micro", "micro", /*title=*/"", /*claim=*/"", argc, argv,
                    /*allow_unknown_flags=*/true);
 
-  // The hand-timed BFS-kernel cells. Suppressed under --benchmark_list_tests:
+  // The hand-timed cells. Suppressed under --benchmark_list_tests:
   // that output is golden-pinned byte-for-byte and must stay pure.
   bool list_only = false;
   for (int i = 1; i < argc; ++i) {
@@ -489,6 +571,10 @@ int main(int argc, char** argv) {
   if (!list_only &&
       h.section("M4: landmark stretch (family x size x k)")) {
     run_landmark_stretch_cells(h);
+  }
+  if (!list_only &&
+      h.section("M5: greedy routing over packed rows (family x width)")) {
+    run_packed_routing_cells(h);
   }
   // The google-benchmark cells below are recorded section-less: their series
   // keys ({benchmark: BM_*}) predate sections and stay baseline-aligned.

@@ -353,9 +353,8 @@ ExperimentResult Experiment::run() const {
               demand->reset();
               const Rng cell_rng =
                   root.child(0x77a1).child(wi).child(si).child(ki).child(ri);
-              // Pair generation sits at the same child address (0xA11)
-              // routing::trial_pairs uses for select_trial_pairs.
-              Rng demand_rng = cell_rng.child(0xA11);
+              // Demand pairs come from the estimators' pair sub-stream.
+              Rng demand_rng = routing::pair_stream(cell_rng);
               estimate = service.estimate_diameter(
                   trials_, cell_rng,
                   demand->batch(trials_.num_pairs, demand_rng));
@@ -376,7 +375,7 @@ ExperimentResult Experiment::run() const {
                 selected = routing::trial_pairs(cell_graph, trials_, cell_rng);
               } else {
                 demand->reset();
-                Rng demand_rng = cell_rng.child(0xA11);
+                Rng demand_rng = routing::pair_stream(cell_rng);
                 selected = demand->batch(trials_.num_pairs, demand_rng);
               }
               std::vector<std::pair<graph::NodeId, graph::NodeId>> kept;

@@ -183,7 +183,7 @@ RouteReport RouteService::route_jobs(std::span<const RouteJob> jobs) const {
 
   // Wave by wave: prefetch the wave's distance vectors in one batch (one
   // BFS per miss, farmed across the pool, pinned past any eviction), then
-  // route every shard through its pinned vector via route_resolved —
+  // route every shard through its pinned row via route_row —
   // shards never touch the oracle, so exactly one BFS per distinct target
   // regardless of cache capacity, concurrency, or batch order.
   const std::size_t wave =
@@ -290,12 +290,12 @@ RouteReport RouteService::route_jobs(std::span<const RouteJob> jobs) const {
                   rz.fallback_router != nullptr
               ? *rz.fallback_router
               : router_;
-      const graph::DistView& dist = *pinned[s];
+      const graph::DistRow& dist = *pinned[s];
       for (const std::size_t i : shard_jobs[k]) {
         if (dist[jobs[i].source] == graph::kInfDist) {
           continue;  // already reported as unreached
         }
-        results[i] = shard_router.route_resolved(
+        results[i] = shard_router.route_row(
             jobs[i].source, jobs[i].target, dist, scheme_, jobs[i].rng);
       }
     });

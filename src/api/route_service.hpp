@@ -12,7 +12,7 @@
 //      the pool; the rows stay pinned for the wave, immune to LRU eviction),
 //   3. execute the wave's shards across the pool (parallel_for_dynamic —
 //      shards are uneven), each routing through its pinned row
-//      (Router::route_resolved), so no pool task ever queries the oracle,
+//      (Router::route_row), so no pool task ever queries the oracle,
 //   4. inside a shard, route pairs in request order.
 //
 // Determinism: pair i of route_batch draws from rng.child(i) whatever shard
@@ -278,7 +278,7 @@ struct RouteServiceOptions {
   /// Shards execute in waves of at most this many targets; each wave's
   /// distance vectors are prefetched in one batch and pinned for the wave's
   /// duration, bounding peak pinned memory at
-  /// max_pinned_targets × n × sizeof(Dist) bytes per batch.
+  /// max_pinned_targets × n × width_bytes(oracle width) bytes per batch.
   std::size_t max_pinned_targets = 512;
   /// How submit() admits batches when demand outruns the service.
   AdmissionPolicy admission;

@@ -132,13 +132,14 @@ void DynamicOracle::prefetch_into(std::span<const graph::NodeId> targets,
 }
 
 bool DynamicOracle::event_affects_row(const EdgeMutation& event,
-                                      const graph::DistView& row) {
+                                      const graph::DistRow& row) {
   const Dist du = row[event.u];
   const Dist dv = row[event.v];
   const Dist delta = std::max(du, dv) - std::min(du, dv);
   // Remove: only shortest-path-DAG edges (adjacent levels) matter.
-  // Add: only level-skipping shortcuts matter. kInfDist endpoints resolve
-  // correctly through the unsigned max-min (see header comment).
+  // Add: only level-skipping shortcuts matter. row[] decodes a narrow
+  // sentinel to kInfDist first, so unreachable endpoints resolve correctly
+  // through the unsigned max-min at every width (see header comment).
   return event.op == EdgeMutation::Op::kRemoveEdge ? delta == 1 : delta >= 2;
 }
 

@@ -145,10 +145,14 @@ class DynamicOracle final : public graph::DistanceOracle,
   /// The resolved storage backend (kAuto decided at construction).
   [[nodiscard]] Backend backend() const noexcept { return backend_; }
 
- private:
-  /// True when the event can change an exact row d (see header comment).
+  /// The per-row tightness test: true when the event can change the exact
+  /// row d (see header comment). Rows of any storage width qualify: entries
+  /// are decoded before the unsigned max−min, so a narrow row's sentinel
+  /// reads as kInfDist, never as max_finite + 1.
   [[nodiscard]] static bool event_affects_row(const EdgeMutation& event,
-                                              const graph::DistView& row);
+                                              const graph::DistRow& row);
+
+ private:
   void flush(const DynamicGraph& g);
   void stamp_validated(graph::NodeId target) const;
 

@@ -1,22 +1,27 @@
 // dist_slab.hpp — compact storage widths for distance rows.
 //
-// Dist is uint32 everywhere above the storage layer, but a distance row only
-// needs ceil(log2(diameter + 2)) bits: a torus row whose entries never exceed
-// 200 wastes 3 of every 4 bytes in a uint32 slab. This header makes the
-// width a *storage* decision — DistanceMatrix and TargetDistanceCache pack
-// rows at uint8/uint16/uint32 and widen on read — without changing the Dist
-// type the routers and RouteService consume.
+// Dist is uint32 at the oracle interface, but a distance row only needs
+// ceil(log2(diameter + 2)) bits: a torus row whose entries never exceed 200
+// wastes 3 of every 4 bytes in a uint32 slab. DistanceMatrix and
+// TargetDistanceCache therefore store rows at uint8/uint16/uint32 and hand
+// them out as width-tagged DistRow views. Consumers read the entries in
+// place: operator[] decodes one entry, and hot loops (the routers) dispatch
+// once per row through DistRow::visit and compare raw typed entries.
 //
-// Encoding: each narrow width reserves its numeric maximum as the infinity
-// sentinel (0xFF for u8, 0xFFFF for u16), so max_finite(width) is max - 1.
-// Narrowing a value above max_finite is a *saturation* — the storage was
-// declared too narrow for the graph — and the oracles turn it into a loud
-// std::invalid_argument instead of a silently wrong distance.
+// Encoding: each width reserves its numeric maximum as the infinity
+// sentinel (0xFF for u8, 0xFFFF for u16, kInfDist for u32), so
+// max_finite(width) is max - 1 and raw comparisons order exactly like
+// decoded ones. Narrowing a value above max_finite is a *saturation* — the
+// storage was declared too narrow for the graph — and the oracles turn it
+// into a loud std::invalid_argument instead of a silently wrong distance.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "graph/bfs.hpp"
 #include "runtime/assert.hpp"
@@ -71,72 +76,74 @@ enum class DistWidth : std::uint8_t { kU8 = 1, kU16 = 2, kU32 = 4 };
                               "' (u8 | u16 | u32 | auto) in spec: " + spec);
 }
 
-namespace detail {
-
-template <typename Narrow>
-void widen_row_impl(const std::uint8_t* src, std::span<Dist> dst) {
-  const auto* packed = reinterpret_cast<const Narrow*>(src);
-  constexpr Narrow inf = static_cast<Narrow>(~Narrow{0});
-  for (std::size_t i = 0; i < dst.size(); ++i) {
-    dst[i] = packed[i] == inf ? kInfDist : static_cast<Dist>(packed[i]);
-  }
+/// Decodes one stored entry of any width: the sentinel becomes kInfDist.
+template <typename T>
+[[nodiscard]] constexpr Dist decode_dist(T v) noexcept {
+  return v == std::numeric_limits<T>::max() ? kInfDist : static_cast<Dist>(v);
 }
 
-template <typename Narrow>
-[[nodiscard]] bool narrow_row_impl(std::span<const Dist> src,
-                                   std::uint8_t* dst) {
-  auto* packed = reinterpret_cast<Narrow*>(dst);
-  constexpr Narrow inf = static_cast<Narrow>(~Narrow{0});
-  constexpr Dist top = static_cast<Dist>(inf) - 1;
-  bool saturated = false;
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    if (src[i] == kInfDist) {
-      packed[i] = inf;
-    } else if (src[i] > top) {
-      saturated = true;
-      packed[i] = inf;
-    } else {
-      packed[i] = static_cast<Narrow>(src[i]);
+/// Read-only view of one target's distance row (size n, indexed by node) at
+/// its storage width. operator[] decodes a single entry; loops over many
+/// entries call visit(), which dispatches on the width once and hands the
+/// callback the typed entries (std::span<const uint8_t/uint16_t/Dist>).
+class DistRow {
+ public:
+  DistRow() = default;
+  DistRow(const void* data, std::size_t size, DistWidth width) noexcept
+      : data_(data), size_(size), width_(width) {}
+  /// A u32 row read in place (implicit: any Dist range is a u32 row).
+  DistRow(std::span<const Dist> row) noexcept
+      : DistRow(row.data(), row.size(), DistWidth::kU32) {}
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] DistWidth width() const noexcept { return width_; }
+
+  /// The entries as stored; T must match the width.
+  template <typename T>
+  [[nodiscard]] std::span<const T> as() const noexcept {
+    NAV_ASSERT(sizeof(T) == width_bytes(width_));
+    return {static_cast<const T*>(data_), size_};
+  }
+
+  /// fn(std::span<const T>) for the row's element type T.
+  template <typename Fn>
+  decltype(auto) visit(Fn&& fn) const {
+    switch (width_) {
+      case DistWidth::kU8: return fn(as<std::uint8_t>());
+      case DistWidth::kU16: return fn(as<std::uint16_t>());
+      default: return fn(as<Dist>());
     }
   }
-  return saturated;
-}
 
-}  // namespace detail
-
-/// Decodes one packed row (dst.size() entries at `width`) into Dist values;
-/// the sentinel becomes kInfDist. u32 rows should be read in place instead.
-inline void widen_row(const std::uint8_t* src, DistWidth width,
-                      std::span<Dist> dst) {
-  switch (width) {
-    case DistWidth::kU8:
-      detail::widen_row_impl<std::uint8_t>(src, dst);
-      break;
-    case DistWidth::kU16:
-      detail::widen_row_impl<std::uint16_t>(src, dst);
-      break;
-    default:
-      detail::widen_row_impl<std::uint32_t>(src, dst);
-      break;
+  [[nodiscard]] Dist operator[](std::size_t i) const noexcept {
+    return visit([i](auto row) { return decode_dist(row[i]); });
   }
-}
 
-/// Decodes a single packed entry.
-[[nodiscard]] inline Dist widen_entry(const std::uint8_t* row, DistWidth width,
-                                      std::size_t i) noexcept {
-  switch (width) {
-    case DistWidth::kU8: {
-      const std::uint8_t v = row[i];
-      return v == 0xFFu ? kInfDist : static_cast<Dist>(v);
-    }
-    case DistWidth::kU16: {
-      const std::uint16_t v = reinterpret_cast<const std::uint16_t*>(row)[i];
-      return v == 0xFFFFu ? kInfDist : static_cast<Dist>(v);
-    }
-    default:
-      return reinterpret_cast<const Dist*>(row)[i];
+  /// Decodes the whole row into dst (dst.size() == size()).
+  void widen_into(std::span<Dist> dst) const {
+    NAV_ASSERT(dst.size() == size_);
+    visit([dst](auto row) {
+      for (std::size_t i = 0; i < row.size(); ++i) dst[i] = decode_dist(row[i]);
+    });
   }
-}
+
+  /// Decoded element-wise equality, across widths.
+  friend bool operator==(const DistRow& a, const DistRow& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (a[i] != b[i]) return false;
+    }
+    return true;
+  }
+  friend bool operator==(const DistRow& a, std::span<const Dist> b) {
+    return a == DistRow(b);
+  }
+
+ private:
+  const void* data_ = nullptr;
+  std::size_t size_ = 0;
+  DistWidth width_ = DistWidth::kU32;
+};
 
 /// Packs a Dist row at `width` into dst (src.size() * width_bytes bytes).
 /// Returns true when any finite value exceeded max_finite(width) — such
@@ -144,13 +151,21 @@ inline void widen_row(const std::uint8_t* src, DistWidth width,
 /// invalid (the oracles throw).
 [[nodiscard]] inline bool narrow_row(std::span<const Dist> src, DistWidth width,
                                      std::uint8_t* dst) {
+  auto pack = [&](auto* packed) {
+    using T = std::remove_pointer_t<decltype(packed)>;
+    constexpr Dist top = std::numeric_limits<T>::max() - Dist{1};
+    bool saturated = false;
+    for (std::size_t i = 0; i < src.size(); ++i) {
+      const Dist d = src[i];
+      saturated |= d != kInfDist && d > top;
+      packed[i] = d > top ? std::numeric_limits<T>::max() : static_cast<T>(d);
+    }
+    return saturated;
+  };
   switch (width) {
-    case DistWidth::kU8:
-      return detail::narrow_row_impl<std::uint8_t>(src, dst);
-    case DistWidth::kU16:
-      return detail::narrow_row_impl<std::uint16_t>(src, dst);
-    default:
-      return detail::narrow_row_impl<std::uint32_t>(src, dst);
+    case DistWidth::kU8: return pack(dst);
+    case DistWidth::kU16: return pack(reinterpret_cast<std::uint16_t*>(dst));
+    default: return pack(reinterpret_cast<Dist*>(dst));
   }
 }
 

@@ -26,7 +26,6 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -39,47 +38,25 @@
 
 namespace nav::graph {
 
-/// Read-only view of one target's distance vector (size n, indexed by node).
-/// Converts implicitly to std::span<const Dist> — the type
-/// Router::route_resolved takes.
-class DistView {
- public:
-  DistView() = default;
-  DistView(const Dist* data, std::size_t size) noexcept
-      : data_(data), size_(size) {}
-
-  [[nodiscard]] const Dist& operator[](std::size_t i) const noexcept {
-    return data_[i];
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] const Dist* data() const noexcept { return data_; }
-  [[nodiscard]] const Dist* begin() const noexcept { return data_; }
-  [[nodiscard]] const Dist* end() const noexcept { return data_ + size_; }
-  operator std::span<const Dist>() const noexcept { return {data_, size_}; }
-
-  /// Element-wise equality against any contiguous Dist range (vectors
-  /// convert): the form differential tests want.
-  friend bool operator==(const DistView& a, std::span<const Dist> b) {
-    return std::equal(a.begin(), a.end(), b.begin(), b.end());
-  }
-
- private:
-  const Dist* data_ = nullptr;
-  std::size_t size_ = 0;
-};
-
 /// Shared-ownership handle to one target's distance row. Holding it pins the
 /// underlying storage — an arena slot or matrix-slab row — even if a caching
-/// oracle evicts the entry concurrently. Pointer-like: *p is the DistView,
-/// p->size() works, handles compare by identity (same storage).
+/// oracle evicts the entry concurrently. Pointer-like: *p is the
+/// width-tagged DistRow, p->size() works, handles compare by identity (same
+/// storage).
 class DistVecPtr {
  public:
   DistVecPtr() = default;
+  /// Pins `owner` (the storage `row` views).
+  DistVecPtr(std::shared_ptr<const void> owner, DistRow row) noexcept
+      : owner_(std::move(owner)), row_(row) {}
+  /// A u32 row of `size` entries owned by `data`.
   DistVecPtr(std::shared_ptr<const Dist> data, std::size_t size) noexcept
-      : owner_(std::move(data)), view_(owner_.get(), size) {}
+      : row_(data.get(), size, DistWidth::kU32) {
+    owner_ = std::move(data);
+  }
 
-  [[nodiscard]] const DistView& operator*() const noexcept { return view_; }
-  [[nodiscard]] const DistView* operator->() const noexcept { return &view_; }
+  [[nodiscard]] const DistRow& operator*() const noexcept { return row_; }
+  [[nodiscard]] const DistRow* operator->() const noexcept { return &row_; }
   explicit operator bool() const noexcept { return owner_ != nullptr; }
 
   /// Identity (not element) comparison, matching shared_ptr semantics:
@@ -92,8 +69,8 @@ class DistVecPtr {
   }
 
  private:
-  std::shared_ptr<const Dist> owner_;
-  DistView view_;
+  std::shared_ptr<const void> owner_;
+  DistRow row_;
 };
 
 /// Abstract distance-to-target service (thread-safe).
@@ -137,21 +114,17 @@ class DistanceOracle {
 };
 
 /// Dense all-pairs table. Memory: one n² slab at the chosen storage width
-/// (4-byte Dist by default; 1- or 2-byte packed rows for low-diameter
-/// graphs — see dist_slab.hpp), rows aliased or widened out of it. Built
-/// with a parallel all-source BFS sweep at construction: rows are farmed to
-/// the worker pool (capped by the policy) and the slab is handed out
-/// UNINITIALISED, so each page is first touched by the worker that
-/// BFS-fills it — on NUMA hosts the rows land near the cores that wrote
-/// them. The policy also caps rebuild_rows/rebuild_all. Distances are
+/// (4-byte Dist by default; 1- or 2-byte rows for low-diameter graphs — see
+/// dist_slab.hpp); distances_to() pins one row of it in place, at that
+/// width. Built with a parallel all-source BFS sweep at construction: rows
+/// are farmed to the worker pool (capped by the policy) and the slab is
+/// handed out UNINITIALISED, so each page is first touched by the worker
+/// that BFS-fills it — on NUMA hosts the rows land near the cores that
+/// wrote them. The policy also caps rebuild_rows/rebuild_all. Distances are
 /// level-synchronous, so the slab is byte-identical for every worker count
-/// (the determinism suite hashes it to prove this).
-///
-/// Narrow widths are a pure storage decision: distance() and distances_to()
-/// still speak Dist (single entries widen in place; full rows materialise a
-/// widened copy), and a row whose true distances exceed the width's
-/// max_finite makes construction/rebuild throw std::invalid_argument
-/// instead of storing a saturated lie.
+/// (the determinism suite hashes it to prove this). A row whose true
+/// distances exceed the width's max_finite makes construction/rebuild throw
+/// std::invalid_argument instead of storing a saturated lie.
 class DistanceMatrix final : public DistanceOracle {
  public:
   explicit DistanceMatrix(const Graph& g, ParallelPolicy policy = {},
@@ -171,7 +144,8 @@ class DistanceMatrix final : public DistanceOracle {
   [[nodiscard]] std::span<const Dist> slab() const {
     NAV_REQUIRE(width_ == DistWidth::kU32,
                 "slab() needs u32 storage; narrow widths expose packed_slab()");
-    return {slab_.get(), static_cast<std::size_t>(n_) * n_};
+    return {reinterpret_cast<const Dist*>(slab_.get()),
+            static_cast<std::size_t>(n_) * n_};
   }
 
   /// The packed backing bytes at any width (n*n*width_bytes(width())).
@@ -190,12 +164,14 @@ class DistanceMatrix final : public DistanceOracle {
  private:
   void fill_row(const Graph& g, NodeId target);
   void check_saturation() const;
+  [[nodiscard]] std::uint8_t* row_bytes(NodeId target) const noexcept {
+    return slab_.get() + static_cast<std::size_t>(target) * n_ * width_bytes(width_);
+  }
 
   NodeId n_;
   ParallelPolicy policy_;
   DistWidth width_;
-  std::shared_ptr<Dist[]> slab_;  // u32 storage: n_ rows of n_ entries
-  std::shared_ptr<std::uint8_t[]> packed_;  // narrow storage (else null)
+  std::shared_ptr<std::uint8_t[]> slab_;  // n_ rows of n_ entries at width_
   std::atomic<bool> saturated_{false};
 };
 
@@ -210,19 +186,12 @@ struct MemoryBudget {
 ///
 /// Narrow storage widths (dist_slab.hpp) pack resident rows at 1 or 2 bytes
 /// per entry, so the same MemoryBudget keeps 4x (or 2x) more targets
-/// resident. Routers still consume Dist rows: a small window of widened
-/// rows (kWideWindow slots, LRU over the resident set) backs distances_to,
-/// so a warm working set is served by refcount copies — zero allocations —
-/// while the packed slabs carry the capacity. distance() reads single
-/// packed entries in place and never widens a row. A BFS row whose true
-/// distances exceed the width's max_finite throws std::invalid_argument.
+/// resident. Every row is stored once, at the cache's width, and handed out
+/// in place: a hit is an LRU bump plus a refcount pin, whatever the width.
+/// A BFS row whose true distances exceed the width's max_finite throws
+/// std::invalid_argument.
 class TargetDistanceCache final : public DistanceOracle {
  public:
-  /// Widened rows kept alive for narrow-width caches: enough for every
-  /// in-flight prefetch shard of a RouteService wave to pin its row while
-  /// staying far below the packed capacity the budget buys.
-  static constexpr std::size_t kWideWindow = 16;
-
   /// `capacity` = number of target distance vectors kept alive in the cache.
   /// The arena holds capacity + 1 slots (slabs grow lazily towards it): the
   /// spare serves the miss-on-full-cache window where the new row is
@@ -294,58 +263,29 @@ class TargetDistanceCache final : public DistanceOracle {
  private:
   struct Entry {
     std::list<NodeId>::iterator lru_it;
-    /// u32 storage: the row itself. Narrow storage: the widened copy when
-    /// this target is inside the wide window (empty handle otherwise).
     DistVecPtr distances;
-    /// Narrow storage only: the packed row (width_bytes per entry).
-    std::shared_ptr<std::uint8_t> packed;
-    /// Valid iff `distances` is non-empty on a narrow cache: this target's
-    /// position in wide_lru_.
-    std::list<NodeId>::iterator wide_it;
   };
 
-  /// One BFS into a fresh row (arena slot, or heap when all slots are
-  /// pinned) on the calling thread's workspace.
+  /// Acquires row storage (arena slot, heap spill fallback).
+  [[nodiscard]] std::shared_ptr<std::uint8_t> acquire_slot() const;
+
+  /// One BFS into a fresh row on the calling thread's workspace; an empty
+  /// handle when the row saturates the width (never throws, so pool tasks
+  /// may call it).
   [[nodiscard]] DistVecPtr compute_row(NodeId target) const;
 
-  /// Acquires the row storage (arena slot, heap spill fallback).
-  [[nodiscard]] std::shared_ptr<Dist> acquire_slot() const;
-
-  // ---- narrow-width internals (width_ != kU32; all *_locked under mutex_)
-  /// A wide-window slot, evicting other entries' widened copies (LRU) when
-  /// the window is full; spills to the heap when every slot is pinned.
-  [[nodiscard]] std::shared_ptr<Dist> acquire_wide_locked() const;
-  /// A packed-row slot (heap spill when the arena is exhausted).
-  [[nodiscard]] std::shared_ptr<std::uint8_t> acquire_packed() const;
-  /// Widens a packed-only resident entry into the wide window.
-  DistVecPtr ensure_wide_locked(NodeId target, Entry& entry) const;
-  /// Installs a freshly computed narrow row (packed + widened) for `target`.
-  DistVecPtr install_narrow_locked(NodeId target,
-                                   std::shared_ptr<Dist> wide,
-                                   std::shared_ptr<std::uint8_t> packed) const;
-  /// Evicts main-LRU overflow, maintaining the wide window; returns the
-  /// number of entries dropped.
-  std::size_t evict_overflow_locked() const;
-  /// Throws the saturation error for this cache's width.
-  [[noreturn]] void throw_saturated() const;
-
-  [[nodiscard]] DistVecPtr narrow_distances_to(NodeId target) const;
-  void narrow_prefetch_into(std::span<const NodeId> targets,
-                            std::vector<DistVecPtr>& out) const;
+  /// Inserts a freshly computed row as most recently used and evicts the
+  /// LRU overflow; returns the number of entries evicted. Under mutex_.
+  std::size_t install_locked(NodeId target, DistVecPtr row) const;
 
   const Graph& graph_;
   std::size_t capacity_;
   ParallelPolicy policy_;
   DistWidth width_;
-  /// u32 storage: the row arena (capacity + 1 slots). Narrow storage: the
-  /// wide window (min(capacity, kWideWindow) + 1 slots of widened rows).
-  mutable SlabArena<Dist> arena_;
-  /// Narrow storage only: packed rows, capacity + 1 slots of n bytes*width.
-  mutable std::optional<SlabArena<std::uint8_t>> packed_arena_;
+  /// capacity + 1 slots of n entries at width_.
+  mutable SlabArena<std::uint8_t> arena_;
   mutable std::mutex mutex_;
   mutable std::list<NodeId> lru_;  // front = most recently used
-  /// Narrow storage: targets with a live widened copy, front = most recent.
-  mutable std::list<NodeId> wide_lru_;
   mutable std::unordered_map<NodeId, Entry> cache_;
   mutable std::size_t hits_ = 0, misses_ = 0;
 };

@@ -42,7 +42,7 @@ bool FaultyOracle::evaluate_attempt(graph::NodeId target) const {
 }
 
 graph::DistVecPtr FaultyOracle::widen_row(graph::NodeId target,
-                                          const graph::DistView& row) const {
+                                          const graph::DistRow& row) const {
   const std::size_t n = row.size();
   std::shared_ptr<graph::Dist[]> buffer(new graph::Dist[n]);
   for (std::size_t i = 0; i < n; ++i) {

@@ -112,7 +112,7 @@ class FaultyOracle final : public graph::DistanceOracle {
 
   /// Widened copy of the base row toward a stalled target, heap-pinned.
   [[nodiscard]] graph::DistVecPtr widen_row(graph::NodeId target,
-                                            const graph::DistView& row) const;
+                                            const graph::DistRow& row) const;
 
   const graph::DistanceOracle* base_;
   std::unique_ptr<graph::DistanceOracle> owned_base_;

@@ -39,12 +39,17 @@ class GreedyRouter final : public Router {
                                   const AugmentationScheme* scheme, Rng rng,
                                   bool record_trace = false) const override;
 
-  /// Batch entry point: same process, but dist(·, t) comes from the
-  /// caller-resolved `target_dist` instead of an oracle query.
+  /// Batch entry points: same process, but dist(·, t) comes from the
+  /// caller-resolved row instead of an oracle query. route_row reads the
+  /// row at its storage width, in place.
   [[nodiscard]] RouteResult route_resolved(
       NodeId s, NodeId t, std::span<const Dist> target_dist,
       const AugmentationScheme* scheme, Rng rng,
       bool record_trace = false) const override;
+  [[nodiscard]] RouteResult route_row(NodeId s, NodeId t,
+                                      const graph::DistRow& row,
+                                      const AugmentationScheme* scheme, Rng rng,
+                                      bool record_trace = false) const override;
 
   /// Routes with a fixed (eagerly sampled) contact vector: contacts[u] is
   /// u's long-range contact or core::kNoContact.
@@ -56,8 +61,17 @@ class GreedyRouter final : public Router {
   [[nodiscard]] const Graph& graph() const noexcept override { return graph_; }
 
  private:
-  template <typename ContactFn>
-  RouteResult route_impl(NodeId s, NodeId t, std::span<const Dist> dist,
+  /// Resolves `scheme` to a contact function, then runs route_impl.
+  template <typename T>
+  RouteResult route_scheme(NodeId s, NodeId t, std::span<const T> dist,
+                           const AugmentationScheme* scheme, Rng& rng,
+                           bool record_trace) const;
+
+  /// The greedy walk over a row of stored entries T (u8/u16/u32): each
+  /// width's sentinel is its numeric maximum, so raw comparisons order
+  /// exactly like decoded distances and no entry is decoded per hop.
+  template <typename T, typename ContactFn>
+  RouteResult route_impl(NodeId s, NodeId t, std::span<const T> dist,
                          ContactFn&& contact_of, bool record_trace) const;
 
   const Graph& graph_;

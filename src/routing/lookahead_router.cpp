@@ -1,35 +1,50 @@
 #include "routing/lookahead_router.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace nav::routing {
 
 RouteResult LookaheadRouter::route(NodeId s, NodeId t,
                                    const AugmentationScheme* scheme, Rng rng,
                                    bool record_trace) const {
-  // One copy of the scheme dispatch: resolve the distance vector, then take
+  // One copy of the scheme dispatch: resolve the distance row, then take
   // the batch entry point (the temporary DistVecPtr outlives the call).
   NAV_REQUIRE(s < graph_.num_nodes() && t < graph_.num_nodes(),
               "route endpoint out of range");
-  return route_resolved(s, t, *oracle_.distances_to(t), scheme, rng,
-                        record_trace);
+  return route_row(s, t, *oracle_.distances_to(t), scheme, rng, record_trace);
+}
+
+template <typename T>
+RouteResult LookaheadRouter::route_scheme(NodeId s, NodeId t,
+                                          std::span<const T> dist,
+                                          const AugmentationScheme* scheme,
+                                          Rng& rng, bool record_trace) const {
+  if (scheme == nullptr) {
+    return route_impl(
+        s, t, dist, [](NodeId) { return core::kNoContact; }, record_trace);
+  }
+  NAV_REQUIRE(scheme->num_nodes() == graph_.num_nodes(),
+              "scheme/graph size mismatch");
+  core::MemoContacts contacts(*scheme, rng);
+  return route_impl(
+      s, t, dist, [&contacts](NodeId u) { return contacts(u); }, record_trace);
 }
 
 RouteResult LookaheadRouter::route_resolved(NodeId s, NodeId t,
                                             std::span<const Dist> target_dist,
                                             const AugmentationScheme* scheme,
                                             Rng rng, bool record_trace) const {
-  if (scheme == nullptr) {
-    return route_impl(
-        s, t, target_dist, [](NodeId) { return core::kNoContact; },
-        record_trace);
-  }
-  NAV_REQUIRE(scheme->num_nodes() == graph_.num_nodes(),
-              "scheme/graph size mismatch");
-  core::MemoContacts contacts(*scheme, rng);
-  return route_impl(
-      s, t, target_dist, [&contacts](NodeId u) { return contacts(u); },
-      record_trace);
+  return route_scheme(s, t, target_dist, scheme, rng, record_trace);
+}
+
+RouteResult LookaheadRouter::route_row(NodeId s, NodeId t,
+                                       const graph::DistRow& row,
+                                       const AugmentationScheme* scheme,
+                                       Rng rng, bool record_trace) const {
+  return row.visit([&](auto dist) {
+    return route_scheme(s, t, dist, scheme, rng, record_trace);
+  });
 }
 
 RouteResult LookaheadRouter::route(NodeId s, NodeId t,
@@ -45,23 +60,27 @@ RouteResult LookaheadRouter::route(NodeId s, NodeId t, const ContactFn& contacts
                                    bool record_trace) const {
   NAV_REQUIRE(t < graph_.num_nodes(), "route endpoint out of range");
   const auto dist_ptr = oracle_.distances_to(t);
-  return route_impl(s, t, *dist_ptr, contacts, record_trace);
+  return dist_ptr->visit([&](auto dist) {
+    return route_impl(s, t, dist, contacts, record_trace);
+  });
 }
 
+template <typename T>
 RouteResult LookaheadRouter::route_impl(NodeId s, NodeId t,
-                                        std::span<const Dist> dist,
+                                        std::span<const T> dist,
                                         const ContactFn& contacts,
                                         bool record_trace) const {
+  constexpr T kInf = std::numeric_limits<T>::max();
   NAV_REQUIRE(s < graph_.num_nodes() && t < graph_.num_nodes(),
               "route endpoint out of range");
   NAV_REQUIRE(dist.size() == graph_.num_nodes(),
               "target distance vector size mismatch");
-  NAV_REQUIRE(dist[s] != graph::kInfDist, "target unreachable from source");
+  NAV_REQUIRE(dist[s] != kInf, "target unreachable from source");
 
   const NodeId n = graph_.num_nodes();
   // Best distance reachable from w along its chain of <= depth long links.
-  auto chain_score = [&](NodeId w) -> Dist {
-    Dist best = dist[w];
+  auto chain_score = [&](NodeId w) -> T {
+    T best = dist[w];
     NodeId x = w;
     for (unsigned k = 0; k < depth_; ++k) {
       x = contacts(x);
@@ -87,13 +106,13 @@ RouteResult LookaheadRouter::route_impl(NodeId s, NodeId t,
   };
 
   while (u != t) {
-    const Dist du = dist[u];
+    const T du = dist[u];
     // Candidates: local neighbours and u's own long-range contact.
     NodeId best = graph::kNoNode;
-    Dist best_score = graph::kInfDist;
+    T best_score = kInf;
     bool best_via_long = false;
     auto offer = [&](NodeId w, bool via_long) {
-      const Dist score = chain_score(w);
+      const T score = chain_score(w);
       // Prefer strictly better scores; among ties prefer a node that is
       // itself closer (avoids taking a multi-step move for nothing).
       if (score < best_score ||

@@ -51,12 +51,17 @@ class LookaheadRouter final : public Router {
                                   const AugmentationScheme* scheme, Rng rng,
                                   bool record_trace = false) const override;
 
-  /// Batch entry point: same process, but dist(·, t) comes from the
-  /// caller-resolved `target_dist` instead of an oracle query.
+  /// Batch entry points: same process, but dist(·, t) comes from the
+  /// caller-resolved row instead of an oracle query. route_row reads the
+  /// row at its storage width, in place.
   [[nodiscard]] RouteResult route_resolved(
       NodeId s, NodeId t, std::span<const Dist> target_dist,
       const AugmentationScheme* scheme, Rng rng,
       bool record_trace = false) const override;
+  [[nodiscard]] RouteResult route_row(NodeId s, NodeId t,
+                                      const graph::DistRow& row,
+                                      const AugmentationScheme* scheme, Rng rng,
+                                      bool record_trace = false) const override;
 
   /// NoN-greedy route with fixed contacts (contacts[u] may be kNoContact).
   [[nodiscard]] RouteResult route(NodeId s, NodeId t,
@@ -77,7 +82,16 @@ class LookaheadRouter final : public Router {
   [[nodiscard]] unsigned depth() const noexcept { return depth_; }
 
  private:
-  RouteResult route_impl(NodeId s, NodeId t, std::span<const Dist> dist,
+  /// Resolves `scheme` to memoised contacts, then runs route_impl.
+  template <typename T>
+  RouteResult route_scheme(NodeId s, NodeId t, std::span<const T> dist,
+                           const AugmentationScheme* scheme, Rng& rng,
+                           bool record_trace) const;
+
+  /// The NoN-greedy walk over a row of stored entries T (u8/u16/u32),
+  /// compared raw like GreedyRouter::route_impl.
+  template <typename T>
+  RouteResult route_impl(NodeId s, NodeId t, std::span<const T> dist,
                          const ContactFn& contacts, bool record_trace) const;
 
   const Graph& graph_;

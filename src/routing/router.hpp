@@ -66,10 +66,7 @@ class Router {
                                           bool record_trace = false) const = 0;
 
   /// Routes with the target's distance vector already resolved
-  /// (`target_dist` must equal *oracle.distances_to(t), size n). Batch
-  /// drivers (api::RouteService) resolve once per target shard and route
-  /// every pair of the shard through the same vector, bypassing the oracle
-  /// entirely — results are identical to route() by construction. The base
+  /// (`target_dist` must equal *oracle.distances_to(t), size n). The base
   /// implementation ignores the hint and forwards to route(), so custom
   /// routers stay correct without overriding.
   [[nodiscard]] virtual RouteResult route_resolved(
@@ -78,6 +75,28 @@ class Router {
       bool record_trace = false) const {
     (void)target_dist;
     return route(s, t, scheme, rng, record_trace);
+  }
+
+  /// Routes through a pinned row at its storage width (`row` must equal
+  /// *oracle.distances_to(t)). Batch drivers (api::RouteService) resolve
+  /// once per target shard and route every pair of the shard through the
+  /// same row, bypassing the oracle entirely — results are identical to
+  /// route() by construction. GreedyRouter and LookaheadRouter read u8/u16
+  /// rows in place. The base implementation makes exactly one
+  /// route_resolved call: u32 rows pass through as they are, narrow rows
+  /// are first decoded into the calling thread's scratch row.
+  [[nodiscard]] virtual RouteResult route_row(NodeId s, NodeId t,
+                                              const graph::DistRow& row,
+                                              const AugmentationScheme* scheme,
+                                              Rng rng,
+                                              bool record_trace = false) const {
+    if (row.width() == graph::DistWidth::kU32) {
+      return route_resolved(s, t, row.as<Dist>(), scheme, rng, record_trace);
+    }
+    thread_local std::vector<Dist> wide;
+    wide.resize(row.size());
+    row.widen_into(wide);
+    return route_resolved(s, t, wide, scheme, rng, record_trace);
   }
 };
 

@@ -43,7 +43,7 @@ std::vector<std::pair<NodeId, NodeId>> select_trial_pairs(
 std::vector<std::pair<NodeId, NodeId>> trial_pairs(const Graph& g,
                                                    const TrialConfig& config,
                                                    const Rng& rng) {
-  Rng pair_rng = rng.child(0xA11);
+  Rng pair_rng = pair_stream(rng);
   return select_trial_pairs(g, config, pair_rng);
 }
 

@@ -16,7 +16,7 @@
 // greedy-router conveniences.
 //
 // Determinism: trial (pair p, replicate r) uses rng.child(p + 1).child(r)
-// and the pairs come from rng.child(0xA11) (trial_pairs); the result is
+// and the pairs come from pair_stream(rng) (trial_pairs); the result is
 // independent of thread count and schedule. api::RouteService routes the
 // same grid as one target-sharded batch and folds it with the same
 // fold_trial_grid.
@@ -62,8 +62,13 @@ struct GreedyDiameterEstimate {
 [[nodiscard]] std::vector<std::pair<NodeId, NodeId>> select_trial_pairs(
     const Graph& g, const TrialConfig& config, Rng& rng);
 
+/// The pair-selection sub-stream of an estimation rooted at `rng`:
+/// rng.child(0xA11), the one address every estimator and demand-driven
+/// sweep draws its pairs from.
+[[nodiscard]] inline Rng pair_stream(const Rng& rng) { return rng.child(0xA11); }
+
 /// The pairs an estimation rooted at `rng` selects: select_trial_pairs on
-/// the rng.child(0xA11) sub-stream, the address every estimator uses.
+/// the pair_stream(rng) sub-stream.
 [[nodiscard]] std::vector<std::pair<NodeId, NodeId>> trial_pairs(
     const Graph& g, const TrialConfig& config, const Rng& rng);
 

@@ -204,19 +204,18 @@ TEST(ZeroAlloc, ParallelMissWavesRecycleArenaRows) {
 }
 
 TEST(ZeroAlloc, WarmNarrowCacheHitAllocatesNothing) {
-  // The compact-slab cache's steady state: a wide-window-resident row hit is
-  // a refcount copy of the widened view, and a point query reads the packed
-  // row directly (widen_entry, no row materialisation). Neither may touch
-  // the allocator once warm.
+  // The compact-slab cache's steady state: a row hit is an LRU bump plus a
+  // refcount copy of the packed row's handle, and a point query decodes one
+  // packed entry. Neither may touch the allocator once warm.
   const auto g = make_grid2d(40, 40);
   TargetDistanceCache cache(g, 4, {}, DistWidth::kU16);
   const NodeId target = 123;
-  (void)cache.distances_to(target);  // the one miss: BFS + narrow + widen
+  (void)cache.distances_to(target);  // the one miss: BFS + pack
 
   const std::uint64_t before = nav::allocation_count();
   Dist sum = 0;
   for (int i = 0; i < 1000; ++i) {
-    const auto pin = cache.distances_to(target);  // wide-window hit
+    const auto pin = cache.distances_to(target);  // packed row hit
     sum += (*pin)[static_cast<NodeId>(i % g.num_nodes())];
     sum += cache.distance(7, target);  // packed point query
   }
@@ -225,6 +224,43 @@ TEST(ZeroAlloc, WarmNarrowCacheHitAllocatesNothing) {
       << "a warm narrow-width cache hit must perform zero heap allocations";
   EXPECT_GT(sum, 0u);
   EXPECT_EQ(cache.misses(), 1u);
+}
+
+TEST(ZeroAlloc, WarmNarrowWaveRoutesEveryResidentRowWithoutAllocating) {
+  // RouteService's hit path on a narrow cache with many resident rows: one
+  // all-hit prefetch wave over 64 distinct targets, then one route per
+  // pinned row, read in place at its storage width. Nothing may reach the
+  // allocator once warm.
+  const auto g = make_grid2d(40, 40);
+  const core::UniformScheme scheme(g);
+  constexpr NodeId kTargets = 64;
+  std::vector<NodeId> wave(kTargets);
+  for (NodeId i = 0; i < kTargets; ++i) wave[i] = 25 * i;
+  for (const DistWidth width : {DistWidth::kU8, DistWidth::kU16}) {
+    TargetDistanceCache cache(g, kTargets, {}, width);
+    const routing::GreedyRouter router(g, cache);
+    std::vector<DistVecPtr> pinned;
+    cache.prefetch_into(wave, pinned);  // warm: the misses, scratch growth
+    const auto serve = [&] {
+      cache.prefetch_into(wave, pinned);
+      std::uint64_t hops = 0;
+      for (NodeId i = 0; i < kTargets; ++i) {
+        hops += router.route_row(7, wave[i], *pinned[i], &scheme, Rng(i)).steps;
+      }
+      return hops;
+    };
+    (void)serve();  // warm: the all-hit shape itself
+
+    const std::uint64_t before = nav::allocation_count();
+    const std::uint64_t hops = serve();
+    const std::uint64_t after = nav::allocation_count();
+    EXPECT_EQ(after - before, 0u)
+        << width_token(width)
+        << ": an all-hit wave plus its routes must perform zero allocations";
+    EXPECT_GT(hops, 0u);
+    EXPECT_EQ(cache.misses(), kTargets);  // only the first wave missed
+    EXPECT_EQ(pinned[0]->width(), width);  // served packed, not widened
+  }
 }
 
 TEST(ZeroAlloc, WarmLandmarkHitAllocatesNothing) {

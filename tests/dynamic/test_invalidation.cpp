@@ -34,7 +34,7 @@ graph::DistVecPtr cold_row(const Graph& g, NodeId target) {
 }
 
 bool rows_equal(const graph::DistVecPtr& a, const graph::DistVecPtr& b) {
-  return *a == static_cast<std::span<const Dist>>(*b);
+  return *a == *b;
 }
 
 struct DifferentialOutcome {
@@ -139,6 +139,28 @@ TEST(Invalidation, TightnessRetainsRowsAFlushWouldDrop) {
   EXPECT_GT(outcome.incremental.targets_retained, 0u);
   EXPECT_LT(outcome.incremental.targets_invalidated,
             outcome.full_flush.targets_invalidated);
+}
+
+TEST(Invalidation, TightnessTestDecodesNarrowSentinels) {
+  // A u16 row whose finite entries reach max_finite (0xFFFE) next to the
+  // sentinel (0xFFFF, unreachable). Read raw, the pair would differ by 1;
+  // decoded, the unreachable endpoint is kInfDist. Adding the edge bridges
+  // the node into t's component, so the row changes and must be dropped.
+  using graph::DistWidth;
+  const std::vector<std::uint16_t> stored = {0, 0xFFFE, 0xFFFF, 0xFFFF,
+                                             0xFFFD};
+  const graph::DistRow row(stored.data(), stored.size(), DistWidth::kU16);
+  ASSERT_EQ(row[1], graph::max_finite(DistWidth::kU16));
+  ASSERT_EQ(row[2], graph::kInfDist);
+  using Op = EdgeMutation::Op;
+  EXPECT_TRUE(DynamicOracle::event_affects_row({Op::kAddEdge, 1, 2}, row));
+  EXPECT_FALSE(DynamicOracle::event_affects_row({Op::kRemoveEdge, 1, 2}, row));
+  // Both endpoints unreachable: a foreign-component edge, retained.
+  EXPECT_FALSE(DynamicOracle::event_affects_row({Op::kAddEdge, 2, 3}, row));
+  EXPECT_FALSE(DynamicOracle::event_affects_row({Op::kRemoveEdge, 2, 3}, row));
+  // Finite neighbours at the top of the range behave as at any level.
+  EXPECT_TRUE(DynamicOracle::event_affects_row({Op::kRemoveEdge, 1, 4}, row));
+  EXPECT_FALSE(DynamicOracle::event_affects_row({Op::kAddEdge, 1, 4}, row));
 }
 
 TEST(Invalidation, FailStreamDisconnectionStaysExact) {

@@ -41,11 +41,13 @@ TEST(DistSlab, NarrowWidenRoundTrip) {
   for (const auto width : kWidths) {
     std::vector<std::uint8_t> packed(row.size() * width_bytes(width));
     EXPECT_FALSE(narrow_row(row, width, packed.data()));
+    const DistRow stored(packed.data(), row.size(), width);
     std::vector<Dist> widened(row.size());
-    widen_row(packed.data(), width, widened);
+    stored.widen_into(widened);
     EXPECT_EQ(widened, row) << width_token(width);
+    EXPECT_TRUE(stored == row) << width_token(width);
     for (std::size_t i = 0; i < row.size(); ++i) {
-      EXPECT_EQ(widen_entry(packed.data(), width, i), row[i]);
+      EXPECT_EQ(stored[i], row[i]);
     }
   }
 }
@@ -183,20 +185,28 @@ TEST(DistSlab, CacheEraseAndClearWorkAtNarrowWidths) {
   EXPECT_EQ(cache.distance(0, 9), (*cache.distances_to(9))[0]);
 }
 
-TEST(DistSlab, PeekBeyondWideWindowDoesNotDisturbLru) {
-  // Capacity above kWideWindow: some resident targets are packed-only.
+TEST(DistSlab, PeekReadsResidentRowsInPlaceWithoutTouchingLru) {
+  // Every resident row is peeked at its packed width, in place, and the
+  // peeks leave eviction order and telemetry alone.
   const auto g = make_grid2d(8, 8);
-  TargetDistanceCache cache(g, TargetDistanceCache::kWideWindow + 8, {},
-                            DistWidth::kU8);
-  for (NodeId t = 0; t < TargetDistanceCache::kWideWindow + 8; ++t) {
-    (void)cache.distances_to(t);
-  }
+  constexpr NodeId kResident = 24;
+  TargetDistanceCache cache(g, kResident, {}, DistWidth::kU8);
+  for (NodeId t = 0; t < kResident; ++t) (void)cache.distances_to(t);
+  const auto lru_before = cache.resident_targets();
+  const std::size_t hits = cache.hits(), misses = cache.misses();
   const TargetDistanceCache reference(g, 4);
-  for (NodeId t = 0; t < TargetDistanceCache::kWideWindow + 8; ++t) {
+  for (NodeId t = 0; t < kResident; ++t) {
     const auto peeked = cache.peek(t);
     ASSERT_TRUE(peeked != nullptr) << "target " << t;
+    EXPECT_EQ(peeked->width(), DistWidth::kU8);
     ASSERT_TRUE(*peeked == *reference.distances_to(t)) << "target " << t;
   }
+  EXPECT_EQ(cache.resident_targets(), lru_before);
+  EXPECT_EQ(cache.hits(), hits);
+  EXPECT_EQ(cache.misses(), misses);
+  // A hit hands out the very storage peek saw: one row per target, no copy.
+  EXPECT_TRUE(cache.peek(0) == cache.distances_to(0));
+  EXPECT_EQ(cache.resident_targets().front(), 0u);
 }
 
 // ---- routing is width-invariant -----------------------------------------
