@@ -4,11 +4,14 @@
 #include <cmath>
 
 #include "graph/bfs_engine.hpp"
+#include "graph/connectivity.hpp"
 
 namespace nav::core {
 
 BallScheme::BallScheme(const Graph& g, std::uint32_t levels)
-    : graph_(g), levels_(levels), ecc_upper_(g.num_nodes()) {
+    : graph_(g),
+      levels_(levels),
+      connected_(graph::is_connected(g)) {
   NAV_REQUIRE(g.num_nodes() >= 1, "empty graph");
   if (levels_ == 0) {
     levels_ = std::max<std::uint32_t>(
@@ -16,38 +19,59 @@ BallScheme::BallScheme(const Graph& g, std::uint32_t levels)
                std::ceil(std::log2(static_cast<double>(g.num_nodes())))));
   }
   NAV_REQUIRE(levels_ <= 31, "too many levels");
-  for (auto& e : ecc_upper_) e.store(0, std::memory_order_relaxed);
+  ball_size_ = std::vector<std::atomic<std::uint32_t>>(
+      std::size_t{g.num_nodes()} * levels_);
 }
 
-NodeId BallScheme::sample_from_ball(NodeId u, graph::Dist radius,
+NodeId BallScheme::sample_from_ball(NodeId u, std::uint32_t k,
                                     Rng& rng) const {
-  NAV_ASSERT(u < graph_.num_nodes());
+  NAV_ASSERT(u < graph_.num_nodes() && k >= 1 && k <= levels_);
   const NodeId n = graph_.num_nodes();
-  // Whole-graph shortcuts (distribution-identical, see header).
-  if (radius >= n) return random_index(rng, n);
-  const graph::Dist known = ecc_upper_[u].load(std::memory_order_relaxed);
-  if (known != 0 && radius >= known) return random_index(rng, n);
+  const graph::Dist radius = graph::Dist{1} << k;
+  // Whole-graph balls are uniform node-id draws (see header): every path
+  // below draws them the same way, so cache state never changes a contact.
+  if (connected_ && radius >= n) return random_index(rng, n);
 
-  const auto view = graph::local_bfs_workspace().ball(graph_, u, radius);
-  if (view.whole_graph) {
-    // Ball exhausted the graph: remember ecc(u) <= depth for next time, and
-    // sample over node ids directly so the draw is bit-identical to the
-    // cached-shortcut path above (determinism across cache states).
-    ecc_upper_[u].store(view.exhausted_depth, std::memory_order_relaxed);
-    return random_index(rng, n);
+  auto& ws = graph::local_bfs_workspace();
+  std::atomic<std::uint32_t>* const sizes =
+      &ball_size_[std::size_t{u} * levels_];
+  const std::uint32_t size = sizes[k - 1].load(std::memory_order_relaxed);
+  if (size == n) return random_index(rng, n);
+  if (size != 0) {
+    // |B| is known, so draw the index first and stop the BFS once it has
+    // discovered that member: the same rng draw and the same discovery
+    // order as the full BFS below, hence the same contact.
+    const std::uint32_t idx = random_index(rng, size);
+    return ws.ball(graph_, u, radius, std::size_t{idx} + 1).order[idx];
   }
+
+  const auto view = ws.ball(graph_, u, radius);
+  for (std::uint32_t j = 1; j <= levels_; ++j) {
+    const std::uint32_t s = view.pow2_sizes[j];
+    if (s != 0 && sizes[j - 1].load(std::memory_order_relaxed) == 0) {
+      sizes[j - 1].store(s, std::memory_order_relaxed);
+    }
+  }
+  if (view.whole_graph) return random_index(rng, n);
   return view.order[random_index(rng, view.order.size())];
+}
+
+std::uint32_t BallScheme::learned_ball_size(NodeId u, std::uint32_t k) const {
+  NAV_REQUIRE(u < graph_.num_nodes() && k >= 1 && k <= levels_,
+              "learned_ball_size: node or level out of range");
+  return ball_size_[std::size_t{u} * levels_ + k - 1].load(
+      std::memory_order_relaxed);
 }
 
 NodeId BallScheme::sample_contact(NodeId u, Rng& rng) const {
   const auto k = 1 + static_cast<std::uint32_t>(rng.next_below(levels_));
-  return sample_from_ball(u, graph::Dist{1} << k, rng);
+  return sample_from_ball(u, k, rng);
 }
 
 std::string BallScheme::name() const { return "ball"; }
 
-std::vector<std::size_t> BallScheme::ball_sizes(NodeId u) const {
-  const auto dist = graph::bfs_distances(graph_, u);
+std::vector<std::size_t> BallScheme::sizes_from_row(
+    const std::vector<graph::Dist>& dist) const {
   std::vector<std::size_t> sizes(levels_ + 1, 0);
   for (const auto d : dist) {
     if (d == graph::kInfDist) continue;
@@ -58,11 +82,15 @@ std::vector<std::size_t> BallScheme::ball_sizes(NodeId u) const {
   return sizes;
 }
 
+std::vector<std::size_t> BallScheme::ball_sizes(NodeId u) const {
+  return sizes_from_row(graph::bfs_distances(graph_, u));
+}
+
 double BallScheme::probability(NodeId u, NodeId v) const {
   NAV_ASSERT(u < graph_.num_nodes() && v < graph_.num_nodes());
   const auto dist = graph::bfs_distances(graph_, u);
   if (dist[v] == graph::kInfDist) return 0.0;
-  const auto sizes = ball_sizes(u);
+  const auto sizes = sizes_from_row(dist);
   double p = 0.0;
   for (std::uint32_t k = 1; k <= levels_; ++k) {
     if (dist[v] <= (graph::Dist{1} << k)) {
@@ -77,13 +105,7 @@ std::vector<double> BallScheme::probability_row(NodeId u) const {
   // precomputed as suffix sums over the level index.
   NAV_ASSERT(u < graph_.num_nodes());
   const auto dist = graph::bfs_distances(graph_, u);
-  std::vector<std::size_t> sizes(levels_ + 1, 0);
-  for (const auto d : dist) {
-    if (d == graph::kInfDist) continue;
-    for (std::uint32_t k = 1; k <= levels_; ++k) {
-      if (d <= (graph::Dist{1} << k)) ++sizes[k];
-    }
-  }
+  const auto sizes = sizes_from_row(dist);
   // suffix[k] = Σ_{j=k..L} 1/|B_j(u)|.
   std::vector<double> suffix(levels_ + 2, 0.0);
   for (std::uint32_t k = levels_; k >= 1; --k) {
@@ -107,7 +129,7 @@ class FixedLevelBallScheme final : public AugmentationScheme {
       : base_(g, std::max<std::uint32_t>(k, 1)), k_(std::max<std::uint32_t>(k, 1)) {}
 
   [[nodiscard]] NodeId sample_contact(NodeId u, Rng& rng) const override {
-    return base_.sample_from_ball(u, graph::Dist{1} << k_, rng);
+    return base_.sample_from_ball(u, k_, rng);
   }
   [[nodiscard]] std::string name() const override {
     return "ball-fixed-k" + std::to_string(k_);

@@ -279,7 +279,8 @@ void BfsWorkspace::multi_source_into(const Graph& g,
 }
 
 BfsWorkspace::BallView BfsWorkspace::ball(const Graph& g, NodeId center,
-                                          Dist radius) {
+                                          Dist radius,
+                                          std::size_t max_members) {
   NAV_REQUIRE(center < g.num_nodes(), "ball center out of range");
   const std::size_t n = g.num_nodes();
   prepare(n);
@@ -289,21 +290,36 @@ BfsWorkspace::BallView BfsWorkspace::ball(const Graph& g, NodeId center,
   std::size_t level_end = 1;
   Dist depth = 0;
   BallView view;
+  // Tested first so uncapped balls skip the per-node size check.
+  const bool capped = max_members != kAllMembers;
   while (head < queue_.size() && depth < radius) {
-    while (head < level_end) {
+    while (head < level_end && !(capped && queue_.size() >= max_members)) {
       const NodeId u = queue_[head++];
       for (const NodeId v : g.neighbors(u)) {
         if (try_visit(v)) queue_.push_back(v);
       }
     }
+    if (head < level_end) break;  // max_members reached mid-level
     ++depth;
     level_end = queue_.size();
-    if (queue_.size() == n) {
+    if (std::has_single_bit(depth)) {
+      view.pow2_sizes[std::countr_zero(depth)] =
+          static_cast<std::uint32_t>(level_end);
+    }
+    if (level_end == n) {
       // The ball swallowed the graph: no later level can add members, and
       // depth is an eccentricity upper bound for the center.
       view.whole_graph = true;
       view.exhausted_depth = depth;
       break;
+    }
+  }
+  if (view.whole_graph || head == queue_.size()) {
+    // The ball stopped growing (it holds the graph or center's whole
+    // component): every larger depth has the same members.
+    for (auto j = static_cast<std::size_t>(std::bit_width(depth));
+         j < view.pow2_sizes.size(); ++j) {
+      view.pow2_sizes[j] = static_cast<std::uint32_t>(queue_.size());
     }
   }
   view.order = {queue_.data(), queue_.size()};
@@ -368,55 +384,6 @@ BfsWorkspace& local_bfs_workspace() {
 
 std::size_t ParallelPolicy::resolved_workers() const noexcept {
   return num_workers == 0 ? ThreadPool::default_threads() : num_workers;
-}
-
-std::vector<Dist> bfs_distances_reference(const Graph& g, NodeId source,
-                                          Dist radius) {
-  NAV_REQUIRE(source < g.num_nodes(), "BFS source out of range");
-  std::vector<Dist> dist(g.num_nodes(), kInfDist);
-  std::vector<NodeId> queue;
-  queue.reserve(64);
-  dist[source] = 0;
-  queue.push_back(source);
-  std::size_t head = 0;
-  while (head < queue.size()) {
-    const NodeId u = queue[head++];
-    const Dist du = dist[u];
-    if (du >= radius) continue;
-    for (const NodeId v : g.neighbors(u)) {
-      if (dist[v] == kInfDist) {
-        dist[v] = du + 1;
-        queue.push_back(v);
-      }
-    }
-  }
-  return dist;
-}
-
-std::vector<NodeId> ball_reference(const Graph& g, NodeId center, Dist radius) {
-  NAV_REQUIRE(center < g.num_nodes(), "ball center out of range");
-  std::vector<std::uint8_t> visited(g.num_nodes(), 0);
-  std::vector<NodeId> order;
-  std::vector<NodeId> frontier{center};
-  visited[center] = 1;
-  order.push_back(center);
-  Dist depth = 0;
-  std::vector<NodeId> next;
-  while (!frontier.empty() && depth < radius) {
-    next.clear();
-    for (const NodeId u : frontier) {
-      for (const NodeId v : g.neighbors(u)) {
-        if (!visited[v]) {
-          visited[v] = 1;
-          next.push_back(v);
-          order.push_back(v);
-        }
-      }
-    }
-    frontier.swap(next);
-    ++depth;
-  }
-  return order;
 }
 
 }  // namespace nav::graph

@@ -36,7 +36,10 @@
 //
 //   * Sparse kernels (ball / eccentricity / farthest) never touch O(n)
 //     output: cost is O(|visited| + |edges scanned|) via the epoch stamps.
-//     This is what makes the ball scheme's inner sampling loop cheap.
+//     This is what makes the ball scheme's inner sampling loop cheap: ball()
+//     also reports |B| at power-of-two depths and can stop after a given
+//     number of members, so a scheme that knows |B| pays only up to the
+//     member it drew.
 //
 //   * The visitation primitives (prepare / try_visit / visited / mark /
 //     marked / queue) are public so specialised traversals — bag-length
@@ -49,6 +52,7 @@
 // A workspace is NOT re-entrant: one traversal at a time per instance.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -135,6 +139,9 @@ class BfsWorkspace {
                          std::span<Dist> out);
 
   // ---- sparse kernels (cost O(|ball|), no O(n) output) -------------------
+  /// No cap on the members ball() discovers.
+  static constexpr std::size_t kAllMembers = static_cast<std::size_t>(-1);
+
   /// The ball B(center, radius) in BFS (distance, id) order.
   struct BallView {
     /// Members in discovery order, center first. Points into the workspace
@@ -146,8 +153,18 @@ class BfsWorkspace {
     /// The depth at which that happened (an eccentricity upper bound for
     /// center); 0 when whole_graph is false.
     Dist exhausted_depth = 0;
+    /// pow2_sizes[j] = |B(center, 2^j)| for every depth 2^j the traversal
+    /// settled: each one it completed and, once the ball stopped growing
+    /// (whole graph or center's component exhausted), every larger one.
+    /// 0 where unknown.
+    std::array<std::uint32_t, 32> pow2_sizes{};
   };
-  [[nodiscard]] BallView ball(const Graph& g, NodeId center, Dist radius);
+  /// With max_members, expansion stops once at least that many members are
+  /// discovered: order is then a prefix of the full ball's order (same
+  /// nodes, same positions), and the fields above describe only the levels
+  /// completed before the stop.
+  [[nodiscard]] BallView ball(const Graph& g, NodeId center, Dist radius,
+                              std::size_t max_members = kAllMembers);
 
   /// max { dist(source, v) : v reachable } without materialising distances.
   [[nodiscard]] Dist eccentricity(const Graph& g, NodeId source);
@@ -181,25 +198,12 @@ class BfsWorkspace {
 /// whole rows (one scalar sweep per lane over distinct targets) across the
 /// global thread pool, capped at resolved_workers() lanes.
 struct ParallelPolicy {
-  /// Worker lanes (0 = one per hardware thread; 1 = serial).
+  /// Worker lanes (0 = ThreadPool::default_threads(): one per hardware
+  /// thread unless NAV_WORKERS overrides it; 1 = serial).
   std::size_t num_workers = 0;
 
   /// num_workers resolved against the hardware (always >= 1).
   [[nodiscard]] std::size_t resolved_workers() const noexcept;
 };
-
-// ---- pre-engine reference implementations -------------------------------
-// The seed repo's allocating scalar kernels, kept verbatim as the
-// differential-test baseline and the bench_micro "pre-PR" comparison point.
-// New code should use BfsWorkspace (or the bfs.hpp wrappers).
-
-/// Allocating scalar BFS; bit-identical output to distances_into.
-[[nodiscard]] std::vector<Dist> bfs_distances_reference(const Graph& g,
-                                                        NodeId source,
-                                                        Dist radius = kInfDist);
-
-/// Allocating per-call-visited ball; identical order to BfsWorkspace::ball.
-[[nodiscard]] std::vector<NodeId> ball_reference(const Graph& g, NodeId center,
-                                                 Dist radius);
 
 }  // namespace nav::graph

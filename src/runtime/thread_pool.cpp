@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
+#include <cstdlib>
+#include <cstring>
 #include <memory>
 
 #include "runtime/assert.hpp"
@@ -51,7 +54,23 @@ void ThreadPool::wait_idle() {
   cv_idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
 }
 
+namespace {
+
+// Largest worker count NAV_WORKERS may force.
+constexpr std::size_t kMaxWorkersOverride = 1024;
+
+}  // namespace
+
 std::size_t ThreadPool::default_threads() noexcept {
+  if (const char* env = std::getenv("NAV_WORKERS"); env != nullptr) {
+    const char* const end = env + std::strlen(env);
+    std::size_t workers = 0;
+    const auto [ptr, ec] = std::from_chars(env, end, workers);
+    if (ec == std::errc{} && ptr == end && workers >= 1 &&
+        workers <= kMaxWorkersOverride) {
+      return workers;
+    }
+  }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
 }

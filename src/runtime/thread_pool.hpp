@@ -41,6 +41,10 @@ class ThreadPool {
   [[nodiscard]] std::size_t thread_count() const noexcept { return workers_.size(); }
 
   /// A sensible default size for this machine (hardware_concurrency, >= 1).
+  /// The NAV_WORKERS environment variable overrides it with a whole number
+  /// in [1, 1024], so the global pool and ParallelPolicy run at a forced
+  /// worker count; any other value is ignored. global_pool() reads it once,
+  /// at first use.
   [[nodiscard]] static std::size_t default_threads() noexcept;
 
  private:

@@ -13,6 +13,7 @@
 #include <latch>
 #include <vector>
 
+#include "core/ball_scheme.hpp"
 #include "core/uniform_scheme.hpp"
 #include "graph/bfs_engine.hpp"
 #include "graph/distance_oracle.hpp"
@@ -25,6 +26,7 @@
 #include "routing/greedy_router.hpp"
 #include "runtime/alloc_counter.hpp"
 #include "runtime/thread_pool.hpp"
+#include "support/bfs_reference.hpp"
 
 NAV_DEFINE_ALLOC_COUNTER();
 
@@ -62,6 +64,46 @@ TEST(ZeroAlloc, ReferenceKernelAllocatesEveryCall) {
   (void)bfs_distances_reference(g, 0);
   const std::uint64_t after = nav::allocation_count();
   EXPECT_GE(after - before, 2u);
+}
+
+TEST(ZeroAlloc, WarmBallSchemeSamplingAllocatesNothing) {
+  // Both sampling paths of the Theorem 4 scheme: the first draws from fresh
+  // nodes run the full ball BFS and learn |B(u, 2^k)| into the size table;
+  // later draws read the size and stop the BFS at the drawn member.
+  const auto g = make_grid2d(48, 48);
+  const core::BallScheme scheme(g);
+  (void)local_bfs_workspace().ball(g, 0, kInfDist);  // queue sized to n
+  constexpr NodeId kNodes = 64;
+  Rng rng(7);
+
+  const std::uint64_t before_unknown = nav::allocation_count();
+  for (NodeId u = 0; u < kNodes; ++u) (void)scheme.sample_contact(u, rng);
+  const std::uint64_t after_unknown = nav::allocation_count();
+
+  // Learn the small levels of every node (radius 2^3 = 8 < ecc on 48x48).
+  for (NodeId u = 0; u < kNodes; ++u) {
+    for (int i = 0; i < 200; ++i) (void)scheme.sample_contact(u, rng);
+  }
+  bool all_learned = true;
+  for (NodeId u = 0; u < kNodes; ++u) {
+    for (std::uint32_t k = 1; k <= 3; ++k) {
+      all_learned = all_learned && scheme.learned_ball_size(u, k) != 0;
+    }
+  }
+
+  const std::uint64_t before_memo = nav::allocation_count();
+  NodeId sum = 0;
+  for (NodeId u = 0; u < kNodes; ++u) {
+    for (int i = 0; i < 16; ++i) sum += scheme.sample_contact(u, rng);
+  }
+  const std::uint64_t after_memo = nav::allocation_count();
+
+  EXPECT_EQ(after_unknown - before_unknown, 0u)
+      << "a size-unknown ball draw on a warm workspace must not allocate";
+  ASSERT_TRUE(all_learned);
+  EXPECT_EQ(after_memo - before_memo, 0u)
+      << "a memoised ball draw must not allocate";
+  EXPECT_GT(sum, 0u);
 }
 
 TEST(ZeroAlloc, SteadyStateOracleHitAllocatesNothing) {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "support/bfs_reference.hpp"
 
 namespace nav::graph {
 namespace {
@@ -89,6 +90,38 @@ TEST(BfsEngine, BallMatchesReferenceOrderExactly) {
         EXPECT_TRUE(std::equal(view.order.begin(), view.order.end(),
                                expect.begin()))
             << name << " center=" << s << " r=" << radius;
+      }
+    }
+  }
+}
+
+TEST(BfsEngine, BallPow2SizesAndMemberCapMatchReference) {
+  BfsWorkspace ws;
+  for (const auto& [name, g] : differential_graphs()) {
+    for (const NodeId s : sample_sources(g)) {
+      for (const Dist radius : {Dist{1}, Dist{5}, Dist{64}, kInfDist}) {
+        const auto full = ball_reference(g, s, radius);
+        const auto view = ws.ball(g, s, radius);
+        for (std::size_t j = 0; j < view.pow2_sizes.size(); ++j) {
+          const std::uint32_t got = view.pow2_sizes[j];
+          if (got == 0) continue;
+          ASSERT_EQ(got, ball_reference(g, s, Dist{1} << j).size())
+              << name << " center=" << s << " r=" << radius << " j=" << j;
+        }
+        // Without a member cap, every depth up to the radius is settled.
+        for (std::size_t j = 0; j < 31 && (Dist{1} << j) <= radius; ++j) {
+          ASSERT_NE(view.pow2_sizes[j], 0u)
+              << name << " center=" << s << " r=" << radius << " j=" << j;
+        }
+        for (const std::size_t cap : {std::size_t{1}, std::size_t{2},
+                                      full.size() / 2 + 1, full.size()}) {
+          const auto capped = ws.ball(g, s, radius, cap);
+          ASSERT_GE(capped.order.size(), cap)
+              << name << " center=" << s << " r=" << radius;
+          ASSERT_TRUE(std::equal(capped.order.begin(),
+                                 capped.order.begin() + cap, full.begin()))
+              << name << " center=" << s << " r=" << radius << " cap=" << cap;
+        }
       }
     }
   }

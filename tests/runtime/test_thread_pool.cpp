@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
+#include <string>
 #include <vector>
 
+#include "graph/bfs_engine.hpp"
 #include "runtime/rng.hpp"
 
 namespace nav {
@@ -43,6 +46,30 @@ TEST(ThreadPool, ThreadCountReported) {
 
 TEST(ThreadPool, DefaultThreadsPositive) {
   EXPECT_GE(ThreadPool::default_threads(), 1u);
+}
+
+TEST(ThreadPool, DefaultThreadsFollowsNavWorkers) {
+  const char* saved = std::getenv("NAV_WORKERS");
+  const std::string restore = saved != nullptr ? saved : "";
+  ::unsetenv("NAV_WORKERS");
+  const std::size_t hardware = ThreadPool::default_threads();
+  for (const char* forced : {"1", "3", "8"}) {
+    ::setenv("NAV_WORKERS", forced, 1);
+    EXPECT_EQ(ThreadPool::default_threads(), std::stoul(forced)) << forced;
+  }
+  // Malformed or out-of-range values fall back to the hardware count.
+  for (const char* ignored : {"", "0", "-2", "3x", " 3", "abc", "1025"}) {
+    ::setenv("NAV_WORKERS", ignored, 1);
+    EXPECT_EQ(ThreadPool::default_threads(), hardware) << '"' << ignored << '"';
+  }
+  // ParallelPolicy{0} resolves through the same override.
+  ::setenv("NAV_WORKERS", "3", 1);
+  EXPECT_EQ(graph::ParallelPolicy{}.resolved_workers(), 3u);
+  if (saved != nullptr) {
+    ::setenv("NAV_WORKERS", restore.c_str(), 1);
+  } else {
+    ::unsetenv("NAV_WORKERS");
+  }
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
