@@ -205,9 +205,13 @@ BENCHMARK(BM_DiameterDoubleSweep)->Arg(64)->Arg(256);
 // run allocation-free where the pre-engine reference pays per-call heap round
 // trips. Families straddle the direction-optimizing regimes: torus2d (high
 // diameter — the sweep stays top-down), hypercube and G(n,p) with mean degree
-// 8 (low diameter, exploding frontiers — the sweep flips bottom-up).
+// 8 (low diameter, exploding frontiers — the sweep flips bottom-up). The
+// "row" cells time BfsWorkspace::row_into at each storage width that holds
+// the family's diameter (bounded by twice an eccentricity, the oracle
+// factory's auto-width rule) — the kernel behind every oracle miss.
 void run_bfs_kernel_cells(bench::Harness& h) {
   using graph::Dist;
+  using graph::DistWidth;
   using graph::NodeId;
   std::vector<unsigned> exponents{12, 16};
   if (!h.quick()) exponents.push_back(18);
@@ -236,26 +240,16 @@ void run_bfs_kernel_cells(bench::Harness& h) {
       std::vector<Dist> out(g.num_nodes());
       const std::size_t reps = std::max<std::size_t>(
           4, (h.quick() ? (std::size_t{1} << 23) : (std::size_t{1} << 24)) / n);
+      // Rotate sources deterministically so no level structure is
+      // accidentally cached between repetitions.
+      const auto source_at = [&](std::size_t i) {
+        return static_cast<NodeId>((i * 2654435761u) % g.num_nodes());
+      };
 
       double ref_rate = 0.0;
-      for (const std::string& kernel :
-           {std::string("reference"), std::string("workspace"),
-            std::string("diropt")}) {
-        auto run_once = [&](std::size_t i) {
-          // Rotate sources deterministically so no level structure is
-          // accidentally cached between repetitions.
-          const auto s =
-              static_cast<NodeId>((i * 2654435761u) % g.num_nodes());
-          if (kernel == "reference") {
-            benchmark::DoNotOptimize(graph::bfs_distances_reference(g, s));
-          } else if (kernel == "workspace") {
-            ws.distances_into_scalar(g, s, out);
-            benchmark::DoNotOptimize(out.data());
-          } else {
-            ws.distances_into(g, s, out);  // direction-optimizing full sweep
-            benchmark::DoNotOptimize(out.data());
-          }
-        };
+      // Times run_once over reps sources and records the cell.
+      const auto measure = [&](const std::string& kernel, const char* width,
+                               const auto& run_once) {
         run_once(0);  // warm: workspace growth, graph pages
         const std::uint64_t allocs_before = nav::allocation_count();
         run_once(1);
@@ -268,16 +262,43 @@ void run_bfs_kernel_cells(bench::Harness& h) {
             timer.seconds();
         if (kernel == "reference") ref_rate = rate;
         const double speedup = ref_rate > 0.0 ? rate / ref_rate : 1.0;
-        h.add_cell({{"family", family},
-                    {"kernel", kernel},
-                    {"n", static_cast<double>(g.num_nodes())},
-                    {"nodes_per_sec", rate},
-                    {"allocs_per_query", allocs_per_query},
-                    {"speedup", speedup}});
+        api::Record cell = {{"family", family}, {"kernel", kernel}};
+        if (width != nullptr) cell.push_back({"width", std::string(width)});
+        cell.push_back({"n", static_cast<double>(g.num_nodes())});
+        cell.push_back({"nodes_per_sec", rate});
+        cell.push_back({"allocs_per_query", allocs_per_query});
+        cell.push_back({"speedup", speedup});
+        h.add_cell(std::move(cell));
         std::printf(
             "  %-9s n=2^%-2u %-10s %9.2f Mnodes/s  allocs/query %3.0f  x%.2f\n",
-            family.c_str(), e, kernel.c_str(), rate / 1e6, allocs_per_query,
-            speedup);
+            family.c_str(), e,
+            (width == nullptr ? kernel : kernel + "_" + width).c_str(),
+            rate / 1e6, allocs_per_query, speedup);
+      };
+
+      measure("reference", nullptr, [&](std::size_t i) {
+        benchmark::DoNotOptimize(
+            graph::bfs_distances_reference(g, source_at(i)));
+      });
+      measure("workspace", nullptr, [&](std::size_t i) {
+        ws.distances_into_scalar(g, source_at(i), out);
+        benchmark::DoNotOptimize(out.data());
+      });
+      measure("diropt", nullptr, [&](std::size_t i) {
+        ws.distances_into(g, source_at(i), out);  // the full sweep
+        benchmark::DoNotOptimize(out.data());
+      });
+
+      const Dist ecc = ws.eccentricity(g, 0);
+      std::vector<std::uint8_t> row(g.num_nodes() * sizeof(Dist));
+      for (const DistWidth width :
+           {DistWidth::kU8, DistWidth::kU16, DistWidth::kU32}) {
+        if (2 * std::uint64_t{ecc} > graph::max_finite(width)) continue;
+        measure("row", graph::width_token(width), [&](std::size_t i) {
+          benchmark::DoNotOptimize(
+              ws.row_into(g, source_at(i), width, row.data()));
+          benchmark::DoNotOptimize(row.data());
+        });
       }
     }
   }

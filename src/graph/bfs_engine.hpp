@@ -10,7 +10,7 @@
 //
 // Design:
 //
-//   * BfsWorkspace owns grow-only scratch (a queue, epoch-stamped visited /
+//   * BfsWorkspace owns grow-only scratch (queues, epoch-stamped visited /
 //     marker arrays, frontier bitmaps). prepare() opens a fresh traversal in
 //     O(1) by bumping a 16-bit generation counter — a node is visited iff
 //     its stamp equals the current epoch, so nothing is cleared between
@@ -18,21 +18,29 @@
 //     arrays are re-zeroed once, keeping the reset amortised O(1) and the
 //     stale-stamp collision impossible (tested by a >2^16-iteration stress).
 //
-//   * Dense kernels (distances_into / multi_source_into) write straight into
-//     a caller-provided span — e.g. an arena slot of the distance oracle —
-//     using the output itself as the visited set. A warm workspace performs
-//     ZERO heap allocations per sweep (proven by the counting-allocator
-//     test).
+//   * One full-sweep kernel, row_into<T>, writes a distance row at its
+//     storage width (uint8_t / uint16_t / Dist, see dist_slab.hpp) straight
+//     into the caller's span — an arena slot, a DistanceMatrix slab row —
+//     using the row itself as the visited set. distances_into is its Dist
+//     instance; the oracles call it at their slab width. It reports
+//     saturation (a reachable node beyond the width's max_finite) exactly,
+//     and a warm workspace performs ZERO heap allocations per sweep (proven
+//     by the counting-allocator test).
 //
-//   * distances_into with radius == kInfDist runs the direction-optimizing
-//     kernel (Beamer et al., "Direction-Optimizing Breadth-First Search"):
-//     when the frontier's out-edges exceed 1/alpha of the unexplored edges
-//     the sweep flips to bottom-up — every unvisited node scans its own
-//     neighbours for a frontier member and stops at the first hit — and
-//     flips back once the frontier falls under n/beta. On low-diameter
-//     families (hypercube, G(n,p)) where frontiers explode this is worth
-//     2-4x; distances are bit-identical to the scalar kernel by level
-//     synchronisation (differential-tested across all families).
+//   * On graphs past the size gate the kernel is direction-optimizing
+//     (Beamer et al., "Direction-Optimizing Breadth-First Search"): when the
+//     frontier's out-edges exceed 1/alpha of the unexplored edges the sweep
+//     flips to bottom-up — every unvisited node probes its neighbours, eight
+//     per branch, for a frontier member — and flips back once the frontier
+//     falls under n/beta. Until the first flip it keeps no visited bitmap
+//     and reads no degrees: while frontier size x max degree proves the flip
+//     test fails it skips the edge sums, and recovers them exactly from the
+//     queue (which then holds every visited node in level order) when that
+//     bound first passes. On low-diameter families (hypercube, G(n,p)) the
+//     flip is worth 2-4x; high-diameter ones (torus, grid) never flip and
+//     pay only the plain top-down sweep. Rows are byte-identical under any
+//     schedule by level synchronisation (differential-tested across
+//     families and widths).
 //
 //   * Sparse kernels (ball / eccentricity / farthest) never touch O(n)
 //     output: cost is O(|visited| + |edges scanned|) via the epoch stamps.
@@ -58,6 +66,7 @@
 #include <vector>
 
 #include "graph/bfs.hpp"
+#include "graph/dist_slab.hpp"
 #include "graph/graph.hpp"
 
 namespace nav::graph {
@@ -103,8 +112,8 @@ class BfsWorkspace {
   enum class SweepKind : std::uint8_t {
     kNone,                 ///< no dense sweep yet
     kScalarBounded,        ///< frontier-bounded scalar kernel (binding radius)
-    kScalarFull,           ///< scalar full sweep (graph under the diropt gate)
-    kDirectionOptimizing,  ///< Beamer-style hybrid full sweep
+    kScalarFull,           ///< top-down full sweep (graph under the gate)
+    kDirectionOptimizing,  ///< full sweep past the gate (may flip bottom-up)
   };
   [[nodiscard]] SweepKind last_sweep_kind() const noexcept {
     return last_sweep_kind_;
@@ -118,19 +127,46 @@ class BfsWorkspace {
     return sweep_tally_[static_cast<std::size_t>(kind)];
   }
 
+  /// Top-down -> bottom-up switches in the last full sweep (row_into or
+  /// distances_into without a binding radius), and the levels it expanded
+  /// bottom-up: both 0 under the size gate and on graphs whose frontiers
+  /// never explode. Tests pin the flip schedule with them.
+  [[nodiscard]] std::uint32_t last_flip_count() const noexcept {
+    return last_flips_;
+  }
+  [[nodiscard]] std::uint32_t last_bottom_up_levels() const noexcept {
+    return last_bottom_up_levels_;
+  }
+
   /// Single-source distances into out (size n; unreached entries get
-  /// kInfDist). radius == kInfDist runs the direction-optimizing full sweep;
-  /// a finite radius runs the frontier-bounded scalar kernel (nodes farther
+  /// kInfDist). radius == kInfDist runs the full sweep, row_into<Dist>; a
+  /// finite radius runs the frontier-bounded scalar kernel (nodes farther
   /// than radius keep kInfDist). A finite radius >= n-1 can never bind (all
-  /// finite distances are <= n-1), so it is explicitly promoted to the
-  /// unbounded direction-optimizing sweep instead of silently degrading to
-  /// a bounded scan of the whole graph — last_sweep_kind() exposes the
-  /// decision. Zero allocations once warm.
+  /// finite distances are <= n-1), so it is explicitly promoted to the full
+  /// sweep instead of silently degrading to a bounded scan of the whole
+  /// graph — last_sweep_kind() exposes the decision. Zero allocations once
+  /// warm.
   void distances_into(const Graph& g, NodeId source, std::span<Dist> out,
                       Dist radius = kInfDist);
 
-  /// The scalar reference kernel behind distances_into — public so
-  /// differential tests can pin the direction-optimizing kernel against it.
+  /// The full sweep at a row's storage width: T is std::uint8_t,
+  /// std::uint16_t or Dist, and out (size n) gets d(source, v) with
+  /// unreached entries at T's sentinel (numeric max). Direction-optimizing
+  /// once the graph clears the size gate, plain top-down below it (the
+  /// kDirectionOptimizing / kScalarFull sweep kinds). Returns true iff some
+  /// reachable node lies farther than max_finite of the width — the row is
+  /// then saturated and invalid; its entries beyond max_finite keep the
+  /// sentinel, exactly as packing the Dist row would store them.
+  template <typename T>
+  bool row_into(const Graph& g, NodeId source, std::span<T> out);
+
+  /// row_into at a runtime width: dst holds n * width_bytes(width) bytes.
+  bool row_into(const Graph& g, NodeId source, DistWidth width,
+                std::uint8_t* dst);
+
+  /// The frontier-bounded scalar kernel behind finite-radius
+  /// distances_into — public so differential tests and bench_micro can
+  /// run it at any radius.
   void distances_into_scalar(const Graph& g, NodeId source, std::span<Dist> out,
                              Dist radius = kInfDist);
 
@@ -173,15 +209,19 @@ class BfsWorkspace {
   [[nodiscard]] FarthestResult farthest(const Graph& g, NodeId source);
 
  private:
-  void diropt_into(const Graph& g, NodeId source, std::span<Dist> out);
+  void count_sweep(SweepKind kind);
   void ensure_bitmaps(std::size_t words);
 
   std::vector<std::uint16_t> stamp_;       // visited iff stamp_[v] == epoch_
   std::vector<std::uint16_t> mark_stamp_;  // marked  iff mark_stamp_[v] == epoch_
   std::uint16_t epoch_ = 0;
   SweepKind last_sweep_kind_ = SweepKind::kNone;
+  std::uint32_t last_flips_ = 0;
+  std::uint32_t last_bottom_up_levels_ = 0;
   std::uint64_t sweep_tally_[4] = {0, 0, 0, 0};  // indexed by SweepKind
   std::vector<NodeId> queue_;
+  // row_into's level queue: grow-only, sized to n, indexed by a tail counter.
+  std::vector<NodeId> row_queue_;
   // Direction-optimizing scratch: current/next frontier and visited bitmaps.
   std::vector<std::uint64_t> front_bits_, next_bits_, visited_bits_;
 };

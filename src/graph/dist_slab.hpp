@@ -11,9 +11,11 @@
 // Encoding: each width reserves its numeric maximum as the infinity
 // sentinel (0xFF for u8, 0xFFFF for u16, kInfDist for u32), so
 // max_finite(width) is max - 1 and raw comparisons order exactly like
-// decoded ones. Narrowing a value above max_finite is a *saturation* — the
-// storage was declared too narrow for the graph — and the oracles turn it
-// into a loud std::invalid_argument instead of a silently wrong distance.
+// decoded ones. Rows are BFS-written at their width by
+// BfsWorkspace::row_into. A reachable node farther than max_finite is a
+// *saturation* — the storage was declared too narrow for the graph — and
+// the oracles turn it into a loud std::invalid_argument instead of a
+// silently wrong distance.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +23,6 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 
 #include "graph/bfs.hpp"
 #include "runtime/assert.hpp"
@@ -144,29 +145,5 @@ class DistRow {
   std::size_t size_ = 0;
   DistWidth width_ = DistWidth::kU32;
 };
-
-/// Packs a Dist row at `width` into dst (src.size() * width_bytes bytes).
-/// Returns true when any finite value exceeded max_finite(width) — such
-/// entries are stored as the sentinel, and the caller MUST treat the row as
-/// invalid (the oracles throw).
-[[nodiscard]] inline bool narrow_row(std::span<const Dist> src, DistWidth width,
-                                     std::uint8_t* dst) {
-  auto pack = [&](auto* packed) {
-    using T = std::remove_pointer_t<decltype(packed)>;
-    constexpr Dist top = std::numeric_limits<T>::max() - Dist{1};
-    bool saturated = false;
-    for (std::size_t i = 0; i < src.size(); ++i) {
-      const Dist d = src[i];
-      saturated |= d != kInfDist && d > top;
-      packed[i] = d > top ? std::numeric_limits<T>::max() : static_cast<T>(d);
-    }
-    return saturated;
-  };
-  switch (width) {
-    case DistWidth::kU8: return pack(dst);
-    case DistWidth::kU16: return pack(reinterpret_cast<std::uint16_t*>(dst));
-    default: return pack(reinterpret_cast<Dist*>(dst));
-  }
-}
 
 }  // namespace nav::graph

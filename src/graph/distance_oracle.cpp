@@ -39,32 +39,6 @@ OracleMetrics& oracle_metrics() {
   return metrics;
 }
 
-// Per-thread Dist-typed staging row for narrow-width slabs: the BFS kernel
-// writes full Dist rows, which are then packed to the storage width. Grow
-// only, so warm fills allocate nothing.
-struct WideRowScratch {
-  std::vector<Dist> row;
-};
-
-/// BFS-fills the n-entry row at `dst` (stored at `width`) toward `target` on
-/// the calling thread's workspace. u32 rows are written in place; narrow
-/// rows go through the thread's Dist staging row. Returns true when a finite
-/// distance saturated the width (the row is then invalid).
-bool bfs_row_into(const Graph& g, NodeId target, DistWidth width,
-                  std::uint8_t* dst) {
-  const std::size_t n = g.num_nodes();
-  if (width == DistWidth::kU32) {
-    local_bfs_workspace().distances_into(g, target,
-                                         {reinterpret_cast<Dist*>(dst), n});
-    return false;
-  }
-  auto& scratch = nav::thread_scratch<WideRowScratch>();
-  if (scratch.row.size() < n) scratch.row.resize(n);
-  const std::span<Dist> wide{scratch.row.data(), n};
-  local_bfs_workspace().distances_into(g, target, wide);
-  return narrow_row(wide, width, dst);
-}
-
 [[noreturn]] void throw_width_saturated(DistWidth width) {
   throw std::invalid_argument(
       std::string("distance exceeds ") + width_token(width) +
@@ -105,7 +79,7 @@ void DistanceMatrix::fill_row(const Graph& g, NodeId target) {
   // Each worker reuses its pooled workspace; rows are disjoint slab slices.
   // Saturation is flagged, not thrown — workers must not throw across the
   // parallel_for; the coordinator turns the flag into an error.
-  if (bfs_row_into(g, target, width_, row_bytes(target))) {
+  if (local_bfs_workspace().row_into(g, target, width_, row_bytes(target))) {
     saturated_.store(true, std::memory_order_relaxed);
   }
 }
@@ -213,7 +187,9 @@ std::shared_ptr<std::uint8_t> TargetDistanceCache::acquire_slot() const {
 
 DistVecPtr TargetDistanceCache::compute_row(NodeId target) const {
   std::shared_ptr<std::uint8_t> slot = acquire_slot();
-  if (bfs_row_into(graph_, target, width_, slot.get())) return {};
+  if (local_bfs_workspace().row_into(graph_, target, width_, slot.get())) {
+    return {};
+  }
   const DistRow row(slot.get(), graph_.num_nodes(), width_);
   return {std::move(slot), row};
 }

@@ -52,17 +52,33 @@ LandmarkOracle::LandmarkOracle(const Graph& g, LandmarkOptions options)
              g.num_nodes()) {
   NAV_REQUIRE(g.num_nodes() > 0, "landmark oracle needs a non-empty graph");
   NAV_REQUIRE(options_.k >= 1, "landmark oracle needs k >= 1");
+  // Rows start at u8 and widen when a landmark's sweep saturates, so they
+  // end at width_for_bound of the largest landmark eccentricity. Selection
+  // only reads exact distances, so a retry picks the same landmarks.
+  while (!select_landmarks(g)) {
+    width_ = width_ == DistWidth::kU8 ? DistWidth::kU16 : DistWidth::kU32;
+  }
+}
+
+bool LandmarkOracle::select_landmarks(const Graph& g) {
   const std::size_t n = g.num_nodes();
   const std::size_t k = std::min(options_.k, n);
-  rows_ = std::shared_ptr<Dist[]>(new Dist[k * n]);
+  const std::size_t row_bytes = n * width_bytes(width_);
+  rows_ = std::shared_ptr<std::uint8_t[]>(new std::uint8_t[k * row_bytes]);
+  landmarks_.clear();
   BfsWorkspace& ws = local_bfs_workspace();
+  // Appends landmark l and sweeps its row; false when the row saturates.
+  const auto add_landmark = [&](NodeId l) {
+    const std::size_t i = landmarks_.size();
+    landmarks_.push_back(l);
+    return !ws.row_into(g, l, width_, rows_.get() + i * row_bytes);
+  };
 
   if (options_.selection == LandmarkSelection::kDegree) {
-    landmarks_ = select_by_degree(g, k);
-    for (std::size_t i = 0; i < k; ++i) {
-      ws.distances_into(g, landmarks_[i], {rows_.get() + i * n, n});
+    for (const NodeId l : select_by_degree(g, k)) {
+      if (!add_landmark(l)) return false;
     }
-    return;
+    return true;
   }
 
   // Farthest-point traversal: seed at the max-degree node, then repeatedly
@@ -70,10 +86,9 @@ LandmarkOracle::LandmarkOracle(const Graph& g, LandmarkOptions options)
   // also its stored row, so selection costs nothing extra). kInfDist in
   // min_dist means "no landmark reaches this node yet" — unreached
   // components win the argmax and get their own landmark first.
-  landmarks_.reserve(k);
-  landmarks_.push_back(max_degree_node(g));
-  ws.distances_into(g, landmarks_[0], {rows_.get(), n});
-  std::vector<Dist> min_dist(rows_.get(), rows_.get() + n);
+  if (!add_landmark(max_degree_node(g))) return false;
+  std::vector<Dist> min_dist(n);
+  landmark_row(0).widen_into(min_dist);
   for (std::size_t i = 1; i < k; ++i) {
     NodeId next = 0;
     Dist best = 0;
@@ -83,33 +98,37 @@ LandmarkOracle::LandmarkOracle(const Graph& g, LandmarkOptions options)
         next = u;
       }
     }
-    if (best == 0) {  // every node IS a landmark already
-      landmarks_.resize(i);
-      break;
-    }
-    landmarks_.push_back(next);
-    Dist* const row = rows_.get() + i * n;
-    ws.distances_into(g, next, {row, n});
-    for (NodeId u = 0; u < n; ++u) {
-      min_dist[u] = std::min(min_dist[u], row[u]);
-    }
+    if (best == 0) break;  // every node IS a landmark already
+    if (!add_landmark(next)) return false;
+    landmark_row(i).visit([&](auto row) {
+      for (NodeId u = 0; u < n; ++u) {
+        min_dist[u] = std::min(min_dist[u], decode_dist(row[u]));
+      }
+    });
   }
+  return true;
+}
+
+DistRow LandmarkOracle::landmark_row(std::size_t i) const {
+  const std::size_t n = graph_.num_nodes();
+  return {rows_.get() + i * n * width_bytes(width_), n, width_};
 }
 
 void LandmarkOracle::materialize_row(NodeId target,
                                      std::span<Dist> row) const {
   const std::size_t n = graph_.num_nodes();
-  const Dist* const rows = rows_.get();
   std::fill(row.begin(), row.end(), kInfDist);
   for (std::size_t i = 0; i < landmarks_.size(); ++i) {
-    const Dist* const lrow = rows + i * n;
+    const DistRow lrow = landmark_row(i);
     const Dist to_target = lrow[target];
     if (to_target == kInfDist) continue;  // landmark in another component
-    for (std::size_t u = 0; u < n; ++u) {
-      const Dist to_landmark = lrow[u];
-      if (to_landmark == kInfDist) continue;
-      row[u] = std::min(row[u], to_landmark + to_target);
-    }
+    lrow.visit([&](auto entries) {
+      for (std::size_t u = 0; u < n; ++u) {
+        const Dist to_landmark = decode_dist(entries[u]);
+        if (to_landmark == kInfDist) continue;
+        row[u] = std::min(row[u], to_landmark + to_target);
+      }
+    });
   }
   // Exact-ball patch: overlay the true distances within exact_radius of the
   // target. The estimate is an upper bound, so a min-merge IS replacement

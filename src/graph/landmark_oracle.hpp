@@ -3,7 +3,8 @@
 // DistanceMatrix is exact but O(n²); TargetDistanceCache is exact but pays a
 // full BFS per distinct target. For graphs too big for either, the classic
 // landmark (a.k.a. pivot/sketch) construction trades accuracy for an O(k·n)
-// footprint: pick k landmarks, store their exact BFS rows, and estimate
+// footprint: pick k landmarks, store their exact BFS rows (at the narrowest
+// width holding their eccentricities, see dist_slab.hpp), and estimate
 //
 //   d̂(u, t) = min over landmarks l of  d(u, l) + d(l, t)  >=  d(u, t),
 //
@@ -84,6 +85,9 @@ class LandmarkOracle final : public DistanceOracle {
   [[nodiscard]] Dist exact_radius() const noexcept {
     return options_.exact_radius;
   }
+  /// Storage width of the landmark rows: width_for_bound of the largest
+  /// landmark eccentricity.
+  [[nodiscard]] DistWidth width() const noexcept { return width_; }
   /// Row-cache telemetry (mirrors TargetDistanceCache's accessors).
   [[nodiscard]] std::size_t hits() const noexcept { return hits_; }
   [[nodiscard]] std::size_t misses() const noexcept { return misses_; }
@@ -94,6 +98,11 @@ class LandmarkOracle final : public DistanceOracle {
     DistVecPtr row;
   };
 
+  /// Picks the landmarks and sweeps their rows at width_; false when a row
+  /// saturates (the caller widens and retries).
+  bool select_landmarks(const Graph& g);
+  /// Landmark i's stored row.
+  [[nodiscard]] DistRow landmark_row(std::size_t i) const;
   /// Writes d̂(·, target) into `row`: min over landmarks, then the exact-ball
   /// patch. Runs without the cache lock (BFS on the caller's workspace).
   void materialize_row(NodeId target, std::span<Dist> row) const;
@@ -102,8 +111,9 @@ class LandmarkOracle final : public DistanceOracle {
   const Graph& graph_;
   LandmarkOptions options_;
   std::vector<NodeId> landmarks_;
-  /// k rows of n exact distances, row-major in selection order.
-  std::shared_ptr<Dist[]> rows_;
+  /// k rows of n exact distances at width_, row-major in selection order.
+  std::shared_ptr<std::uint8_t[]> rows_;
+  DistWidth width_ = DistWidth::kU8;
 
   mutable SlabArena<Dist> arena_;
   mutable std::mutex mutex_;

@@ -1,5 +1,6 @@
 #include "graph/oracle_factory.hpp"
 
+#include <limits>
 #include <stdexcept>
 
 #include "graph/connectivity.hpp"
@@ -39,11 +40,22 @@ CacheCap parse_cache_cap(const std::string& token, const std::string& spec) {
       default: break;
     }
   }
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
   if (mult == 0) {
-    return {false, parse_spec_number<std::size_t>(token, spec)};
+    const auto slots = parse_spec_number<std::size_t>(token, spec);
+    // The cache keeps one spare slot beyond its capacity.
+    if (slots == kMax) {
+      throw std::invalid_argument("cache slot count too large in spec: " +
+                                  spec);
+    }
+    return {false, slots};
   }
   const std::size_t base = parse_spec_number<std::size_t>(
       token.substr(0, token.size() - 1), spec);
+  if (base > kMax / mult) {
+    throw std::invalid_argument("cache byte budget overflows in spec: " +
+                                spec);
+  }
   return {true, base * mult};
 }
 

@@ -55,6 +55,34 @@ TEST(ZeroAlloc, WarmWorkspaceKernelsAllocateNothing) {
       << "a warm BfsWorkspace must perform zero heap allocations per sweep";
 }
 
+TEST(ZeroAlloc, WarmRowFillsOnFlippingGraphAllocateNothing) {
+  // An oracle miss fills its row with row_into at the slab width. On a graph
+  // whose sweeps flip bottom-up, a warm workspace must fill rows at every
+  // width without allocating: the level queue and bitmaps are grow-only
+  // and shared across widths.
+  Rng rng(11);
+  const auto g = make_random_regular(4096, 16, rng);
+  BfsWorkspace ws;
+  std::vector<std::uint8_t> row(g.num_nodes() * sizeof(Dist));
+  (void)ws.row_into(g, 0, DistWidth::kU32, row.data());  // warm-up
+
+  std::uint32_t flips = 0;
+  bool saturated = false;
+  const std::uint64_t before = nav::allocation_count();
+  for (NodeId s = 0; s < 8; ++s) {
+    for (const DistWidth width :
+         {DistWidth::kU8, DistWidth::kU16, DistWidth::kU32}) {
+      saturated |= ws.row_into(g, s, width, row.data());
+      flips += ws.last_flip_count();
+    }
+  }
+  const std::uint64_t after = nav::allocation_count();
+  EXPECT_EQ(after - before, 0u)
+      << "a warm row fill must perform zero heap allocations at any width";
+  EXPECT_FALSE(saturated);
+  EXPECT_GE(flips, 24u) << "every sweep on this graph should flip bottom-up";
+}
+
 TEST(ZeroAlloc, ReferenceKernelAllocatesEveryCall) {
   // Sanity check that the counter actually counts: the pre-engine reference
   // kernel heap-allocates its result and queue on every call.

@@ -1,11 +1,13 @@
 // Differential coverage for the BFS engine: every workspace kernel is pinned
 // bit-identical to the pre-engine reference implementations across graph
-// families and radii, and the 16-bit epoch machinery survives wraparound.
+// families, radii and row widths, and the 16-bit epoch machinery survives
+// wraparound.
 #include "graph/bfs_engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <thread>
 #include <utility>
@@ -13,6 +15,7 @@
 
 #include "graph/generators.hpp"
 #include "support/bfs_reference.hpp"
+#include "support/dist_pack_reference.hpp"
 
 namespace nav::graph {
 namespace {
@@ -42,6 +45,53 @@ std::vector<std::pair<std::string, Graph>> differential_graphs() {
                         for (NodeId v = 601; v < 1200; ++v) edges.push_back({v - 1, v});
                         return edges;
                       }()));
+  return graphs;
+}
+
+/// Two random 8-out clusters of `size` nodes (each closed by a ring), the
+/// first's last node joined to the second's first by a path of `path`
+/// nodes.
+Graph two_clusters_joined_by_path(NodeId size, NodeId path, Rng& rng) {
+  GraphBuilder b(2 * size + path);
+  const auto add_cluster = [&](NodeId first) {
+    for (NodeId i = 0; i < size; ++i) {
+      b.add_edge(first + i, first + (i + 1) % size);
+      for (int k = 0; k < 8; ++k) {
+        const NodeId j = random_index(rng, size);
+        if (j != i) b.add_edge(first + i, first + j);
+      }
+    }
+  };
+  add_cluster(0);
+  for (NodeId v = size; v <= size + path; ++v) b.add_edge(v - 1, v);
+  add_cluster(size + path);
+  return std::move(b).build();
+}
+
+/// A G(n, 3 ln n / n) core of `core` nodes with a path of `tail` nodes
+/// hanging off node 0: the core makes the sweep flip bottom-up, the tail
+/// sets the eccentricity.
+Graph core_with_tail(NodeId core, NodeId tail, Rng& rng) {
+  const double p = 3.0 * std::log(static_cast<double>(core)) / core;
+  auto edges = make_connected_gnp(core, p, rng).edge_list();
+  edges.emplace_back(0, core);
+  for (NodeId v = core + 1; v < core + tail; ++v) edges.emplace_back(v - 1, v);
+  return Graph(core + tail, std::move(edges));
+}
+
+/// Graphs past the size gate whose frontiers explode, so a full sweep from
+/// node 0 flips bottom-up; the two-cluster graph flips twice.
+std::vector<std::pair<std::string, Graph>> flipping_graphs() {
+  Rng rng(0xF11B);
+  constexpr NodeId kN = 4096;
+  const double p = 3.0 * std::log(static_cast<double>(kN)) / kN;
+  std::vector<std::pair<std::string, Graph>> graphs;
+  graphs.emplace_back("gnp_3logn", make_connected_gnp(kN, p, rng));
+  graphs.emplace_back("regular16", make_random_regular(kN, 16, rng));
+  graphs.emplace_back("hypercube12", make_hypercube(12));
+  graphs.emplace_back("two_clusters",
+                      two_clusters_joined_by_path(2048, 100, rng));
+  graphs.emplace_back("core_tail", core_with_tail(1500, 300, rng));
   return graphs;
 }
 
@@ -76,6 +126,141 @@ TEST(BfsEngine, DirectionOptimizingMatchesReference) {
       EXPECT_EQ(out, expect) << name << " source=" << s;
     }
   }
+}
+
+constexpr DistWidth kWidths[] = {DistWidth::kU8, DistWidth::kU16,
+                                 DistWidth::kU32};
+
+/// Fills `width` with row_into and checks it against the packed reference:
+/// same bytes, same saturation flag. Returns the flag.
+bool row_matches_packed_reference(BfsWorkspace& ws, const Graph& g, NodeId s,
+                                  DistWidth width, const std::string& name) {
+  const std::size_t bytes = g.num_nodes() * width_bytes(width);
+  std::vector<std::uint8_t> expect(bytes);
+  std::vector<std::uint8_t> got(bytes, 0x5A);
+  const bool expect_saturated =
+      narrow_row(bfs_distances_reference(g, s), width, expect.data());
+  const bool saturated = ws.row_into(g, s, width, got.data());
+  EXPECT_EQ(saturated, expect_saturated)
+      << name << " source=" << s << " " << width_token(width);
+  EXPECT_EQ(got, expect) << name << " source=" << s << " "
+                         << width_token(width);
+  return saturated;
+}
+
+TEST(BfsEngine, RowKernelMatchesPackedReferenceAtEveryWidth) {
+  // Every width, including ones too narrow for the graph: a saturated row
+  // keeps the sentinel past max_finite, byte for byte like the packing.
+  BfsWorkspace ws;
+  auto graphs = differential_graphs();
+  for (auto& entry : flipping_graphs()) graphs.push_back(std::move(entry));
+  for (const auto& [name, g] : graphs) {
+    for (const NodeId s : sample_sources(g)) {
+      for (const DistWidth width : kWidths) {
+        (void)row_matches_packed_reference(ws, g, s, width, name);
+      }
+    }
+  }
+}
+
+/// The direction schedule Beamer's eager bookkeeping takes, replayed from
+/// reference distances: per-level node counts and out-edge sums do not
+/// depend on the schedule, so the flips and bottom-up levels follow from
+/// them and the engine's thresholds (kAlpha 15, kBeta 18, the 1024-node /
+/// 4096-edge gate).
+std::pair<std::uint32_t, std::uint32_t> reference_flip_schedule(
+    const Graph& g, NodeId source) {
+  const std::size_t n = g.num_nodes();
+  if (n < 1024 || 2 * g.num_edges() < 4096) return {0, 0};
+  const auto dist = bfs_distances_reference(g, source);
+  std::vector<std::uint64_t> count, edges;
+  for (NodeId v = 0; v < n; ++v) {
+    if (dist[v] == kInfDist) continue;
+    if (dist[v] >= count.size()) {
+      count.resize(dist[v] + 1, 0);
+      edges.resize(dist[v] + 1, 0);
+    }
+    ++count[dist[v]];
+    edges[dist[v]] += g.degree(v);
+  }
+  std::uint64_t unexplored = 2 * g.num_edges();
+  std::uint32_t flips = 0, bottom_up_levels = 0;
+  bool bottom_up = false, growing = true;
+  for (std::size_t d = 0; d < count.size(); ++d) {
+    if (!bottom_up && growing && edges[d] > unexplored / 15) {
+      bottom_up = true;
+      ++flips;
+    }
+    if (bottom_up) ++bottom_up_levels;
+    const std::uint64_t next = d + 1 < count.size() ? count[d + 1] : 0;
+    unexplored -= std::min(unexplored, edges[d]);
+    growing = next > count[d];
+    if (bottom_up && next > 0 && !growing && next < n / 18) bottom_up = false;
+  }
+  return {flips, bottom_up_levels};
+}
+
+TEST(BfsEngine, FlipScheduleMatchesEagerBookkeeping) {
+  // Skipping the degree sums before the first flip must not move a flip.
+  BfsWorkspace ws;
+  const auto flipping = flipping_graphs();
+  auto graphs = differential_graphs();
+  graphs.insert(graphs.end(), flipping.begin(), flipping.end());
+  for (const auto& [name, g] : graphs) {
+    std::vector<Dist> out(g.num_nodes());
+    for (const NodeId s : sample_sources(g)) {
+      const auto [flips, bottom_up_levels] = reference_flip_schedule(g, s);
+      ws.distances_into(g, s, out);
+      EXPECT_EQ(ws.last_flip_count(), flips) << name << " source=" << s;
+      EXPECT_EQ(ws.last_bottom_up_levels(), bottom_up_levels)
+          << name << " source=" << s;
+    }
+  }
+  // The flipping graphs flip from node 0; the two-cluster graph goes
+  // bottom-up in the first cluster, top-down along the path, and bottom-up
+  // again in the second cluster.
+  for (const auto& [name, g] : flipping) {
+    std::vector<Dist> out(g.num_nodes());
+    ws.distances_into(g, 0, out);
+    EXPECT_GE(ws.last_flip_count(), 1u) << name;
+    if (name == "two_clusters") {
+      EXPECT_EQ(ws.last_flip_count(), 2u);
+    }
+  }
+  // High-diameter families never flip; neither do graphs under the gate.
+  const auto torus = make_torus2d(64, 64);
+  std::vector<std::uint16_t> row(torus.num_nodes());
+  EXPECT_FALSE(ws.row_into(torus, 0, std::span<std::uint16_t>(row)));
+  EXPECT_EQ(ws.last_sweep_kind(),
+            BfsWorkspace::SweepKind::kDirectionOptimizing);
+  EXPECT_EQ(ws.last_flip_count(), 0u);
+  const auto small = make_complete(64);
+  std::vector<std::uint8_t> small_row(small.num_nodes());
+  EXPECT_FALSE(ws.row_into(small, 0, std::span<std::uint8_t>(small_row)));
+  EXPECT_EQ(ws.last_sweep_kind(), BfsWorkspace::SweepKind::kScalarFull);
+  EXPECT_EQ(ws.last_flip_count(), 0u);
+}
+
+TEST(BfsEngine, RowKernelSaturatesExactlyPastMaxFinite) {
+  BfsWorkspace ws;
+  const auto fits = [&](const Graph& g, NodeId s, DistWidth width,
+                        const std::string& name) {
+    return !row_matches_packed_reference(ws, g, s, width, name);
+  };
+  // u8 holds distances up to 254.
+  EXPECT_TRUE(fits(make_path(255), 0, DistWidth::kU8, "path255 end"));
+  EXPECT_FALSE(fits(make_path(256), 0, DistWidth::kU8, "path256 end"));
+  EXPECT_TRUE(fits(make_path(256), 128, DistWidth::kU8, "path256 middle"));
+  // u16 holds distances up to 65534.
+  EXPECT_TRUE(fits(make_path(65535), 0, DistWidth::kU16, "path65535 end"));
+  EXPECT_FALSE(fits(make_path(65536), 0, DistWidth::kU16, "path65536 end"));
+  // A flipping core with a tail longer than 254: saturation is found after
+  // the sweep went bottom-up and came back.
+  Rng rng(0x7A11);
+  const auto tailed = core_with_tail(1500, 300, rng);
+  EXPECT_FALSE(fits(tailed, 5, DistWidth::kU8, "core_tail"));
+  EXPECT_GE(ws.last_flip_count(), 1u);
+  EXPECT_TRUE(fits(tailed, 5, DistWidth::kU16, "core_tail"));
 }
 
 TEST(BfsEngine, BallMatchesReferenceOrderExactly) {

@@ -12,6 +12,7 @@
 #include "graph/distance_oracle.hpp"
 #include "graph/generators.hpp"
 #include "routing/greedy_router.hpp"
+#include "support/dist_pack_reference.hpp"
 
 namespace nav::graph {
 namespace {

@@ -13,6 +13,7 @@
 #include "graph/generators.hpp"
 #include "routing/greedy_router.hpp"
 #include "routing/lookahead_router.hpp"
+#include "support/bfs_reference.hpp"
 
 namespace nav::graph {
 namespace {
@@ -109,6 +110,58 @@ TEST(LandmarkOracle, SelectionsDiffer) {
   const auto d = by_degree.landmarks();
   const auto f = farthest.landmarks();
   EXPECT_FALSE(std::equal(d.begin(), d.end(), f.begin(), f.end()));
+}
+
+/// The triangle field with the exact-ball patch, from reference BFS rows.
+std::vector<Dist> reference_field(const Graph& g, const LandmarkOracle& oracle,
+                                  NodeId target) {
+  std::vector<Dist> row(g.num_nodes(), kInfDist);
+  for (const NodeId l : oracle.landmarks()) {
+    const auto from_l = bfs_distances_reference(g, l);
+    if (from_l[target] == kInfDist) continue;
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      if (from_l[u] != kInfDist) {
+        row[u] = std::min(row[u], from_l[u] + from_l[target]);
+      }
+    }
+  }
+  const auto patch = bfs_distances_reference(g, target, oracle.exact_radius());
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    row[u] = std::min(row[u], patch[u]);
+  }
+  return row;
+}
+
+TEST(LandmarkOracle, RowsStoredAtNaturalWidth) {
+  // Landmark rows take the narrowest width holding every landmark's
+  // eccentricity; the field reads the same at any width.
+  const auto grid = make_grid2d(12, 10);
+  EXPECT_EQ(LandmarkOracle(grid, with_k(6)).width(), DistWidth::kU8);
+  // A star hub in the middle of a 400-node path: the seed landmark (the
+  // hub) has eccentricity under 255, but the next one (a path end) does
+  // not, so selection saturates u8 at the second row and retries at u16.
+  auto edges = make_path(400).edge_list();
+  for (NodeId leaf = 400; leaf < 410; ++leaf) edges.emplace_back(200, leaf);
+  const Graph broom(410, std::move(edges));
+  for (const auto selection :
+       {LandmarkSelection::kFarthest, LandmarkSelection::kDegree}) {
+    const LandmarkOracle oracle(broom, with_k(4, selection));
+    EXPECT_EQ(oracle.width(), DistWidth::kU16);
+    EXPECT_EQ(oracle.num_landmarks(), 4u);
+    if (selection == LandmarkSelection::kFarthest) {
+      EXPECT_EQ(oracle.landmarks()[0], 200u);  // the hub seeds the traversal
+    }
+    for (const NodeId t : {NodeId{0}, NodeId{200}, NodeId{399}, NodeId{405}}) {
+      EXPECT_TRUE(*oracle.distances_to(t) == reference_field(broom, oracle, t))
+          << "target " << t;
+    }
+  }
+  // Past u16: a path longer than 65535 nodes stores u32 rows.
+  const auto long_path = make_path(70000);
+  const LandmarkOracle wide(long_path, with_k(2));
+  EXPECT_EQ(wide.width(), DistWidth::kU32);
+  EXPECT_TRUE(*wide.distances_to(12345) ==
+              reference_field(long_path, wide, 12345));
 }
 
 TEST(LandmarkOracle, KClampsToNodeCountAndFullCoverIsExact) {

@@ -97,6 +97,17 @@ TEST(OracleFactory, RejectsMalformedSpecs) {
   EXPECT_THROW((void)make_oracle("cache:zero", g), std::invalid_argument);
   EXPECT_THROW((void)make_oracle("cache:4:u16:extra", g),
                std::invalid_argument);
+  // Sizes past size_t: 2^64 bytes, and a slot count whose spare slot wraps.
+  for (const std::string spec :
+       {"cache:17179869184G", "cache:18446744073709551615"}) {
+    try {
+      (void)make_oracle(spec, g);
+      ADD_FAILURE() << spec << " must be rejected";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(spec), std::string::npos)
+          << e.what();
+    }
+  }
   EXPECT_THROW((void)make_oracle("landmark", g), std::invalid_argument);
   EXPECT_THROW((void)make_oracle("landmark:0", g), std::invalid_argument);
   EXPECT_THROW((void)make_oracle("landmark:4:closest", g),
