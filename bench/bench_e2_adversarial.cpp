@@ -18,6 +18,9 @@ namespace {
 
 using namespace nav;
 
+/// Augmentation redraws per adversarial pair.
+constexpr std::size_t kResamples = 32;
+
 core::MatrixPtr make_matrix(const std::string& kind, core::Label n) {
   if (kind == "U") return std::make_shared<core::UniformMatrix>(n);
   if (kind == "A") return std::make_shared<core::HierarchyMatrix>(n);
@@ -51,10 +54,22 @@ int main(int argc, char** argv) {
       const auto inst = core::make_adversarial_path(*matrix, rng);
       core::MatrixScheme scheme(matrix, inst.labeling);
 
+      // One pair, kResamples replicates: replicate r routes on
+      // trial_rng.child(r), all through RouteService's target-sharded batch.
       graph::TargetDistanceCache oracle(inst.path, 4);
-      const auto est = routing::estimate_pair(
-          inst.path, &scheme, oracle, inst.source, inst.target, 32,
-          Rng(h.seed(0x5eed) ^ e));
+      const routing::GreedyRouter router(inst.path, oracle);
+      const Rng trial_rng(h.seed(0x5eed) ^ e);
+      std::vector<api::RouteJob> jobs;
+      for (std::size_t r = 0; r < kResamples; ++r) {
+        jobs.push_back({inst.source, inst.target, trial_rng.child(r)});
+      }
+      const api::RouteService service(inst.path, oracle, &scheme, router);
+      const std::pair<graph::NodeId, graph::NodeId> pair{inst.source,
+                                                         inst.target};
+      const auto est = routing::fold_trial_grid(
+                           {&pair, 1}, kResamples,
+                           service.route_jobs(jobs).results)
+                           .pairs[0];
       const double segment =
           static_cast<double>(inst.segment_end - inst.segment_begin);
       const double floor = segment / 3.0 * (1.0 - inst.internal_mass);

@@ -289,7 +289,7 @@ void run_bfs_kernel_cells(bench::Harness& h) {
         benchmark::DoNotOptimize(out.data());
       });
 
-      const Dist ecc = ws.eccentricity(g, 0);
+      const Dist ecc = ws.farthest(g, 0).distance;
       std::vector<std::uint8_t> row(g.num_nodes() * sizeof(Dist));
       for (const DistWidth width :
            {DistWidth::kU8, DistWidth::kU16, DistWidth::kU32}) {

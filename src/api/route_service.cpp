@@ -23,6 +23,10 @@ enum class RowSource : std::uint8_t {
   kNone       ///< no usable row — retries exhausted, no fallback, tolerated
 };
 
+/// Adaptive admission's multiplicative decrease: an SLO breach halves the
+/// admitted-work window.
+constexpr double kAdaptiveDecrease = 0.5;
+
 /// The steady clock in seconds: a steady-time service's arrival and start
 /// instants.
 double steady_seconds() {
@@ -65,9 +69,6 @@ RouteService::RouteService(const graph::Graph& g,
                 "adaptive admission needs virtual_pair_cost_seconds > 0");
     NAV_REQUIRE(options_.admission.slo_seconds > 0.0,
                 "adaptive admission needs an SLO > 0");
-    NAV_REQUIRE(options_.admission.adaptive_beta > 0.0 &&
-                    options_.admission.adaptive_beta < 1.0,
-                "adaptive beta must be in (0, 1)");
     NAV_REQUIRE(options_.admission.adaptive_min_pairs >= 1,
                 "adaptive window floor must be >= 1");
   }
@@ -530,7 +531,7 @@ void RouteService::service_loop() {
                   admission.adaptive_min_pairs,
                   static_cast<std::size_t>(
                       static_cast<double>(adaptive_window_pairs_) *
-                      admission.adaptive_beta));
+                      kAdaptiveDecrease));
             } else {
               adaptive_window_pairs_ += admission.adaptive_increase_pairs;
             }

@@ -32,8 +32,8 @@
 //     is dropped at dequeue: its future fails with ShedError;
 //   * Adaptive{slo_seconds} — an AIMD window over admitted work: a batch
 //     whose backlog would overflow the window is rejected at dequeue, and
-//     each served batch's sojourn shrinks the window multiplicatively on an
-//     SLO breach, grows it additively otherwise.
+//     each served batch's sojourn halves the window on an SLO breach and
+//     grows it additively otherwise.
 //
 // The service runs on ONE clock, fixed at construction. With
 // virtual_pair_cost_seconds > 0 it is virtual time: batches arrive at the
@@ -166,10 +166,9 @@ struct AdmissionPolicy {
   /// kAdaptive: the window never shrinks below this floor (so the service
   /// keeps serving SOMETHING under any overload).
   std::size_t adaptive_min_pairs = 64;
-  /// kAdaptive: additive window growth per SLO-respecting batch.
+  /// kAdaptive: additive window growth per SLO-respecting batch. (An SLO
+  /// breach halves the window, floored at adaptive_min_pairs.)
   std::size_t adaptive_increase_pairs = 64;
-  /// kAdaptive: multiplicative window decrease on an SLO breach (in (0,1)).
-  double adaptive_beta = 0.5;
 
   /// The original unbounded FIFO (default).
   [[nodiscard]] static AdmissionPolicy unbounded() { return {}; }
@@ -411,9 +410,10 @@ class RouteService {
 
   /// Greedy-diameter estimation over `pairs`, routed as one batch: pair p,
   /// replicate r draws from rng.child(p + 1).child(r) and the grid folds
-  /// through routing::fold_trial_grid. Passing the routing::trial_pairs
-  /// selection reproduces routing::estimate_routed_diameter bit for bit;
-  /// the Experiment workload axis passes workload pairs instead.
+  /// through routing::fold_trial_grid. This is the library's one
+  /// Monte-Carlo path: callers pass the routing::trial_pairs selection for
+  /// the classic estimate (as Experiment and the benches do), or workload
+  /// pairs (the Experiment workload axis).
   [[nodiscard]] routing::GreedyDiameterEstimate estimate_diameter(
       const routing::TrialConfig& config, Rng rng,
       std::span<const std::pair<graph::NodeId, graph::NodeId>> pairs) const;

@@ -1,27 +1,17 @@
 #include "graph/bfs.hpp"
 
-#include <algorithm>
-
 #include "graph/bfs_engine.hpp"
 
 namespace nav::graph {
 
 // The free functions are convenience wrappers over the BFS engine: they run
 // on the calling thread's pooled BfsWorkspace (bfs_engine.hpp), so the only
-// allocation left is the returned container itself — and ball_size() drops
-// even that. Hot paths (distance oracle, schemes, measures) hold a workspace
-// and call the kernels directly.
+// allocation left is the returned container itself. Hot paths (distance
+// oracle, schemes, measures) hold a workspace and call the kernels directly.
 
 std::vector<Dist> bfs_distances(const Graph& g, NodeId source) {
   std::vector<Dist> dist(g.num_nodes());
   local_bfs_workspace().distances_into(g, source, dist);
-  return dist;
-}
-
-std::vector<Dist> bfs_distances_bounded(const Graph& g, NodeId source,
-                                        Dist radius) {
-  std::vector<Dist> dist(g.num_nodes());
-  local_bfs_workspace().distances_into(g, source, dist, radius);
   return dist;
 }
 
@@ -30,45 +20,8 @@ std::vector<NodeId> ball(const Graph& g, NodeId center, Dist radius) {
   return {view.order.begin(), view.order.end()};
 }
 
-std::size_t ball_size(const Graph& g, NodeId center, Dist radius) {
-  return local_bfs_workspace().ball(g, center, radius).order.size();
-}
-
-std::vector<Dist> multi_source_bfs(const Graph& g,
-                                   const std::vector<NodeId>& sources) {
-  std::vector<Dist> dist(g.num_nodes());
-  local_bfs_workspace().multi_source_into(g, sources, dist);
-  return dist;
-}
-
 FarthestResult farthest_node(const Graph& g, NodeId source) {
   return local_bfs_workspace().farthest(g, source);
-}
-
-std::vector<NodeId> shortest_path(const Graph& g, NodeId source, NodeId target) {
-  NAV_REQUIRE(source < g.num_nodes() && target < g.num_nodes(),
-              "shortest_path endpoint out of range");
-  std::vector<NodeId> parent(g.num_nodes(), kNoNode);
-  std::vector<std::uint8_t> visited(g.num_nodes(), 0);
-  std::vector<NodeId> queue{source};
-  visited[source] = 1;
-  std::size_t head = 0;
-  while (head < queue.size() && !visited[target]) {
-    const NodeId u = queue[head++];
-    for (const NodeId v : g.neighbors(u)) {
-      if (!visited[v]) {
-        visited[v] = 1;
-        parent[v] = u;
-        queue.push_back(v);
-      }
-    }
-  }
-  if (!visited[target]) return {};
-  std::vector<NodeId> path;
-  for (NodeId v = target; v != kNoNode; v = parent[v]) path.push_back(v);
-  std::reverse(path.begin(), path.end());
-  NAV_ASSERT(path.front() == source);
-  return path;
 }
 
 }  // namespace nav::graph

@@ -4,10 +4,12 @@
 // greedy routing compares dist_G(·, t); the ball scheme of Theorem 4 samples
 // from B(u, 2^k); the pathlength measure needs pairwise bag distances.
 //
-// These free functions are convenience wrappers over the reusable engine in
+// The three free functions below (a full distance row, a ball, the
+// farthest node) are convenience wrappers over the reusable engine in
 // bfs_engine.hpp (epoch-stamped workspaces, direction-optimizing full
 // sweeps): they allocate only the returned container. Allocation-sensitive
-// callers should hold a BfsWorkspace and use its kernels directly.
+// callers, and anything else (bounded sweeps, rows at a storage width),
+// hold a BfsWorkspace and use its kernels directly.
 #pragma once
 
 #include <cstdint>
@@ -24,25 +26,11 @@ inline constexpr Dist kInfDist = std::numeric_limits<Dist>::max();
 /// Full single-source BFS. Unreachable nodes get kInfDist.
 [[nodiscard]] std::vector<Dist> bfs_distances(const Graph& g, NodeId source);
 
-/// BFS truncated at `radius`: nodes farther than radius keep kInfDist.
-/// Touches only the subgraph within the radius (frontier-bounded cost).
-[[nodiscard]] std::vector<Dist> bfs_distances_bounded(const Graph& g,
-                                                      NodeId source,
-                                                      Dist radius);
-
 /// The ball B(u, r) = { v : dist(u, v) <= r }, in BFS (distance, id) order.
 /// This is the sampling domain of the Theorem 4 scheme. Cost O(|edges in
 /// ball|) — the visited set is epoch-stamped workspace state, not a fresh
 /// O(n) array per call.
 [[nodiscard]] std::vector<NodeId> ball(const Graph& g, NodeId center, Dist radius);
-
-/// |B(u, r)| without materialising the ball. Allocation-free once the
-/// calling thread's workspace is warm.
-[[nodiscard]] std::size_t ball_size(const Graph& g, NodeId center, Dist radius);
-
-/// Multi-source BFS: distance to the nearest source.
-[[nodiscard]] std::vector<Dist> multi_source_bfs(const Graph& g,
-                                                 const std::vector<NodeId>& sources);
 
 /// Farthest node from `source` (smallest id among ties) and its distance.
 /// Building block of the double-sweep diameter heuristic.
@@ -51,10 +39,5 @@ struct FarthestResult {
   Dist distance = 0;
 };
 [[nodiscard]] FarthestResult farthest_node(const Graph& g, NodeId source);
-
-/// One shortest path from source to target (inclusive), via parent pointers.
-/// Empty vector if unreachable.
-[[nodiscard]] std::vector<NodeId> shortest_path(const Graph& g, NodeId source,
-                                                NodeId target);
 
 }  // namespace nav::graph

@@ -367,32 +367,6 @@ bool BfsWorkspace::row_into(const Graph& g, NodeId source, DistWidth width,
   }
 }
 
-void BfsWorkspace::multi_source_into(const Graph& g,
-                                     std::span<const NodeId> sources,
-                                     std::span<Dist> out) {
-  NAV_REQUIRE(!sources.empty(), "multi_source_bfs needs at least one source");
-  NAV_REQUIRE(out.size() == g.num_nodes(), "distance output size mismatch");
-  std::fill(out.begin(), out.end(), kInfDist);
-  queue_.clear();
-  for (const NodeId s : sources) {
-    NAV_REQUIRE(s < g.num_nodes(), "BFS source out of range");
-    if (out[s] == kInfDist) {
-      out[s] = 0;
-      queue_.push_back(s);
-    }
-  }
-  std::size_t head = 0;
-  while (head < queue_.size()) {
-    const NodeId u = queue_[head++];
-    for (const NodeId v : g.neighbors(u)) {
-      if (out[v] == kInfDist) {
-        out[v] = out[u] + 1;
-        queue_.push_back(v);
-      }
-    }
-  }
-}
-
 BfsWorkspace::BallView BfsWorkspace::ball(const Graph& g, NodeId center,
                                           Dist radius,
                                           std::size_t max_members) {
@@ -439,27 +413,6 @@ BfsWorkspace::BallView BfsWorkspace::ball(const Graph& g, NodeId center,
   }
   view.order = {queue_.data(), queue_.size()};
   return view;
-}
-
-Dist BfsWorkspace::eccentricity(const Graph& g, NodeId source) {
-  NAV_REQUIRE(source < g.num_nodes(), "BFS source out of range");
-  prepare(g.num_nodes());
-  try_visit(source);
-  queue_.push_back(source);
-  std::size_t head = 0;
-  std::size_t level_end = 1;
-  Dist ecc = 0;
-  while (head < queue_.size()) {
-    while (head < level_end) {
-      const NodeId u = queue_[head++];
-      for (const NodeId v : g.neighbors(u)) {
-        if (try_visit(v)) queue_.push_back(v);
-      }
-    }
-    if (queue_.size() > level_end) ++ecc;  // a new, non-empty level exists
-    level_end = queue_.size();
-  }
-  return ecc;
 }
 
 FarthestResult BfsWorkspace::farthest(const Graph& g, NodeId source) {

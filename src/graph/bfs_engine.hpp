@@ -3,10 +3,9 @@
 // Every subsystem bottoms out in unweighted BFS: the distance oracle runs
 // one sweep per distinct target, the Theorem 4 ball scheme samples from
 // B(u, 2^k) millions of times, diameter/pathshape sweep all sources, and
-// lookahead routers multiply distance queries per hop. The free functions in
-// bfs.hpp used to heap-allocate and zero-fill O(n) state per call; they are
-// now thin wrappers over this engine, and the hot paths (oracle, schemes,
-// workloads, decomposition measures) call it directly.
+// lookahead routers multiply distance queries per hop. The hot paths
+// (oracle, schemes, workloads, decomposition measures) call this engine
+// directly; the few free functions in bfs.hpp are thin wrappers over it.
 //
 // Design:
 //
@@ -42,8 +41,8 @@
 //     schedule by level synchronisation (differential-tested across
 //     families and widths).
 //
-//   * Sparse kernels (ball / eccentricity / farthest) never touch O(n)
-//     output: cost is O(|visited| + |edges scanned|) via the epoch stamps.
+//   * Sparse kernels (ball / farthest) never touch O(n) output: cost is
+//     O(|visited| + |edges scanned|) via the epoch stamps.
 //     This is what makes the ball scheme's inner sampling loop cheap: ball()
 //     also reports |B| at power-of-two depths and can stop after a given
 //     number of members, so a scheme that knows |B| pays only up to the
@@ -170,10 +169,6 @@ class BfsWorkspace {
   void distances_into_scalar(const Graph& g, NodeId source, std::span<Dist> out,
                              Dist radius = kInfDist);
 
-  /// Multi-source distances (distance to the nearest source) into out.
-  void multi_source_into(const Graph& g, std::span<const NodeId> sources,
-                         std::span<Dist> out);
-
   // ---- sparse kernels (cost O(|ball|), no O(n) output) -------------------
   /// No cap on the members ball() discovers.
   static constexpr std::size_t kAllMembers = static_cast<std::size_t>(-1);
@@ -202,10 +197,8 @@ class BfsWorkspace {
   [[nodiscard]] BallView ball(const Graph& g, NodeId center, Dist radius,
                               std::size_t max_members = kAllMembers);
 
-  /// max { dist(source, v) : v reachable } without materialising distances.
-  [[nodiscard]] Dist eccentricity(const Graph& g, NodeId source);
-
-  /// Farthest reachable node (smallest id among ties) and its distance.
+  /// Farthest reachable node (smallest id among ties) and its distance —
+  /// the distance is source's eccentricity within its component.
   [[nodiscard]] FarthestResult farthest(const Graph& g, NodeId source);
 
  private:

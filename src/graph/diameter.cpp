@@ -11,9 +11,10 @@ namespace nav::graph {
 std::vector<Dist> eccentricities(const Graph& g) {
   std::vector<Dist> ecc(g.num_nodes(), 0);
   nav::parallel_for(0, g.num_nodes(), [&](std::size_t u) {
-    // Workspace kernel: no per-source distance array at all — the BFS level
-    // count is the within-component eccentricity.
-    ecc[u] = local_bfs_workspace().eccentricity(g, static_cast<NodeId>(u));
+    // Workspace kernel: no per-source distance array at all — the farthest
+    // node's distance is the within-component eccentricity.
+    ecc[u] =
+        local_bfs_workspace().farthest(g, static_cast<NodeId>(u)).distance;
   });
   return ecc;
 }

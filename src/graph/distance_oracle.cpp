@@ -152,11 +152,6 @@ TargetDistanceCache::TargetDistanceCache(const Graph& g, MemoryBudget budget,
                           policy, width) {}
 
 std::size_t TargetDistanceCache::capacity_for_budget(MemoryBudget budget,
-                                                     NodeId n) noexcept {
-  return capacity_for_budget(budget, n, DistWidth::kU32);
-}
-
-std::size_t TargetDistanceCache::capacity_for_budget(MemoryBudget budget,
                                                      NodeId n,
                                                      DistWidth width) noexcept {
   const std::size_t vector_bytes = std::max<std::size_t>(

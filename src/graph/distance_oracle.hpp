@@ -103,14 +103,6 @@ class DistanceOracle {
   /// distances_to; caching oracles override it to batch the misses.
   virtual void prefetch_into(std::span<const NodeId> targets,
                              std::vector<DistVecPtr>& out) const;
-
-  /// Allocating convenience wrapper over prefetch_into.
-  [[nodiscard]] std::vector<DistVecPtr> prefetch(
-      std::span<const NodeId> targets) const {
-    std::vector<DistVecPtr> pinned;
-    prefetch_into(targets, pinned);
-    return pinned;
-  }
 };
 
 /// Dense all-pairs table. Memory: one n² slab at the chosen storage width
@@ -206,16 +198,13 @@ class TargetDistanceCache final : public DistanceOracle {
                       ParallelPolicy policy = {},
                       DistWidth width = DistWidth::kU32);
 
-  /// Entry count affordable under `budget` for n-node vectors (>= 1: the
-  /// cache always keeps at least the vector it just computed).
-  [[nodiscard]] static std::size_t capacity_for_budget(MemoryBudget budget,
-                                                       NodeId n) noexcept;
-
-  /// The same, at a storage width: narrow rows cost width_bytes(width) per
-  /// entry, so the budget buys proportionally more resident targets.
-  [[nodiscard]] static std::size_t capacity_for_budget(MemoryBudget budget,
-                                                       NodeId n,
-                                                       DistWidth width) noexcept;
+  /// Entry count affordable under `budget` for n-node vectors at a storage
+  /// width (>= 1: the cache always keeps at least the vector it just
+  /// computed). Narrow rows cost width_bytes(width) per entry, so the budget
+  /// buys proportionally more resident targets.
+  [[nodiscard]] static std::size_t capacity_for_budget(
+      MemoryBudget budget, NodeId n,
+      DistWidth width = DistWidth::kU32) noexcept;
 
   [[nodiscard]] Dist distance(NodeId u, NodeId target) const override;
   [[nodiscard]] DistVecPtr distances_to(NodeId target) const override;

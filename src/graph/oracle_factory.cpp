@@ -20,7 +20,7 @@ DistWidth resolve_width(const std::string& token, const std::string& spec,
                         const Graph& g) {
   if (token != "auto") return parse_dist_width(token, spec);
   if (g.num_nodes() == 0 || !is_connected(g)) return DistWidth::kU32;
-  const Dist ecc = local_bfs_workspace().eccentricity(g, 0);
+  const Dist ecc = local_bfs_workspace().farthest(g, 0).distance;
   const Dist bound = ecc >= kInfDist / 2 ? kInfDist - 1 : ecc * 2;
   return width_for_bound(bound);
 }

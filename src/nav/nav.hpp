@@ -118,7 +118,7 @@
 #include "decomposition/permutation_decomposition.hpp"
 #include "decomposition/tree_path_decomposition.hpp"
 
-// routing — routers, the router registry, Monte-Carlo estimation.
+// routing — routers, the router registry, the Monte-Carlo trial grid.
 #include "routing/exact_analysis.hpp"
 #include "routing/greedy_router.hpp"
 #include "routing/lookahead_router.hpp"

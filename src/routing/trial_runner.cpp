@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "graph/diameter.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace nav::routing {
 
@@ -49,23 +48,6 @@ std::vector<std::pair<NodeId, NodeId>> trial_pairs(const Graph& g,
 
 namespace {
 
-/// Replicate r of (s, t) routes on rng.child(r) into out[r]. The target's
-/// row is warmed first so parallel replicates share one BFS.
-void route_replicates(const Router& router,
-                      const graph::DistanceOracle& oracle, NodeId s, NodeId t,
-                      const core::AugmentationScheme* scheme, Rng rng,
-                      bool parallel, std::span<RouteResult> out) {
-  (void)oracle.distances_to(t);
-  auto body = [&](std::size_t r) {
-    out[r] = router.route(s, t, scheme, rng.child(r));
-  };
-  if (parallel) {
-    nav::parallel_for(0, out.size(), body);
-  } else {
-    for (std::size_t r = 0; r < out.size(); ++r) body(r);
-  }
-}
-
 PairEstimate fold_pair(NodeId s, NodeId t,
                        std::span<const RouteResult> replicates) {
   nav::RunningStats step_stats, long_stats;
@@ -107,56 +89,6 @@ GreedyDiameterEstimate fold_trial_grid(
   out.overall_mean_steps = all.mean();
   out.trials = results.size();
   return out;
-}
-
-PairEstimate estimate_routed_pair(const Router& router,
-                                  const graph::DistanceOracle& oracle,
-                                  NodeId s, NodeId t,
-                                  const core::AugmentationScheme* scheme,
-                                  std::size_t resamples, Rng rng,
-                                  bool parallel) {
-  NAV_REQUIRE(resamples >= 1, "need at least one resample");
-  std::vector<RouteResult> results(resamples);
-  route_replicates(router, oracle, s, t, scheme, rng, parallel, results);
-  return fold_pair(s, t, results);
-}
-
-GreedyDiameterEstimate estimate_routed_diameter(
-    const Router& router, const core::AugmentationScheme* scheme,
-    const graph::DistanceOracle& oracle, const TrialConfig& config, Rng rng) {
-  const Graph& g = router.graph();
-  NAV_REQUIRE(g.num_nodes() >= 2, "graph too small to route");
-  NAV_REQUIRE(config.resamples >= 1, "need at least one resample");
-  const auto pairs = trial_pairs(g, config, rng);
-  NAV_REQUIRE(!pairs.empty(), "no source/target pairs selected");
-
-  // Replicates of one pair run on the pool; pairs run sequentially so
-  // each target's BFS is computed once and reused.
-  const std::size_t resamples = config.resamples;
-  std::vector<RouteResult> results(pairs.size() * resamples);
-  for (std::size_t p = 0; p < pairs.size(); ++p) {
-    route_replicates(router, oracle, pairs[p].first, pairs[p].second, scheme,
-                     rng.child(p + 1), /*parallel=*/true,
-                     std::span(results).subspan(p * resamples, resamples));
-  }
-  return fold_trial_grid(pairs, resamples, results);
-}
-
-PairEstimate estimate_pair(const Graph& g,
-                           const core::AugmentationScheme* scheme,
-                           const graph::DistanceOracle& oracle, NodeId s,
-                           NodeId t, std::size_t resamples, Rng rng,
-                           bool parallel) {
-  GreedyRouter router(g, oracle);
-  return estimate_routed_pair(router, oracle, s, t, scheme, resamples, rng,
-                              parallel);
-}
-
-GreedyDiameterEstimate estimate_greedy_diameter(
-    const Graph& g, const core::AugmentationScheme* scheme,
-    const graph::DistanceOracle& oracle, const TrialConfig& config, Rng rng) {
-  GreedyRouter router(g, oracle);
-  return estimate_routed_diameter(router, scheme, oracle, config, rng);
 }
 
 }  // namespace nav::routing

@@ -1,32 +1,30 @@
-// trial_runner.hpp — Monte-Carlo estimation of E(φ, s, t) and the greedy
-// diameter diam(G, φ) = max_{s,t} E(φ, s, t).
+// trial_runner.hpp — the Monte-Carlo trial grid behind E(φ, s, t) and the
+// greedy diameter diam(G, φ) = max_{s,t} E(φ, s, t).
 //
-// For each selected (s, t) pair the runner redraws the augmentation
-// `resamples` times and routes once per draw (lazy sampling = one fresh
-// augmented graph per trial). Pair selection:
+// An estimate redraws the augmentation `resamples` times per selected
+// (s, t) pair and routes once per draw (lazy sampling = one fresh augmented
+// graph per trial). Pair selection:
 //   * kPeripheralPlusRandom (default): the double-sweep peripheral pair —
 //     which dominates the maximum in every family studied here — plus
 //     uniformly random distinct pairs;
 //   * kRandom: only random pairs;
 //   * kAllPairs: every ordered pair with s != t (small n / tests).
 //
-// The estimators are parameterized over the routing process (Router): the
-// `estimate_routed_*` entry points accept any registry router, while the
-// classic `estimate_greedy_diameter` / `estimate_pair` names remain as
-// greedy-router conveniences.
+// This header holds the grid's pieces: the configuration, the pair
+// selection and the fold. The routing itself is api::RouteService's:
+// estimate_diameter routes the whole pair × replicate grid as one
+// target-sharded batch (route_jobs) and folds it with fold_trial_grid.
 //
 // Determinism: trial (pair p, replicate r) uses rng.child(p + 1).child(r)
 // and the pairs come from pair_stream(rng) (trial_pairs); the result is
-// independent of thread count and schedule. api::RouteService routes the
-// same grid as one target-sharded batch and folds it with the same
-// fold_trial_grid.
+// independent of thread count and schedule.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "routing/greedy_router.hpp"
+#include "routing/router.hpp"
 #include "runtime/stats.hpp"
 
 namespace nav::routing {
@@ -79,32 +77,5 @@ struct GreedyDiameterEstimate {
 [[nodiscard]] GreedyDiameterEstimate fold_trial_grid(
     std::span<const std::pair<NodeId, NodeId>> pairs, std::size_t resamples,
     std::span<const RouteResult> results);
-
-/// Runs the estimation under an arbitrary routing process. `scheme` may be
-/// nullptr (no long links). The graph is the router's own (router.graph()),
-/// so a graph/router mismatch is unrepresentable; the router must be built
-/// over `oracle`.
-[[nodiscard]] GreedyDiameterEstimate estimate_routed_diameter(
-    const Router& router, const core::AugmentationScheme* scheme,
-    const graph::DistanceOracle& oracle, const TrialConfig& config, Rng rng);
-
-/// Single-pair estimate under an arbitrary routing process.
-[[nodiscard]] PairEstimate estimate_routed_pair(
-    const Router& router, const graph::DistanceOracle& oracle, NodeId s,
-    NodeId t, const core::AugmentationScheme* scheme, std::size_t resamples,
-    Rng rng, bool parallel = true);
-
-/// Greedy-router convenience (the paper's process).
-[[nodiscard]] GreedyDiameterEstimate estimate_greedy_diameter(
-    const Graph& g, const core::AugmentationScheme* scheme,
-    const graph::DistanceOracle& oracle, const TrialConfig& config, Rng rng);
-
-/// Single-pair greedy estimate (used by tests and the phase analysis bench).
-[[nodiscard]] PairEstimate estimate_pair(const Graph& g,
-                                         const core::AugmentationScheme* scheme,
-                                         const graph::DistanceOracle& oracle,
-                                         NodeId s, NodeId t,
-                                         std::size_t resamples, Rng rng,
-                                         bool parallel = true);
 
 }  // namespace nav::routing

@@ -3,13 +3,16 @@
 // Every spec parser in the tree ("lookahead:<d>", "zipf:<s>",
 // "burst:<size>:<gap>", "bounded:<pairs>", ...) needs the same contract: a
 // token is a number exactly — no signs on unsigned, no trailing garbage, no
-// overflow — or the whole spec is rejected loudly. One from_chars wrapper
-// serves them all so the behaviour (and the error text) cannot drift.
+// overflow, nothing non-finite — or the whole spec is rejected loudly. One
+// from_chars wrapper serves them all so the behaviour (and the error text)
+// cannot drift.
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace nav {
@@ -32,16 +35,20 @@ namespace nav {
 }
 
 /// Parses `token` as a T (integral or floating), rejecting empty tokens,
-/// signs on unsigned types, trailing garbage, and overflow. `spec` is the
-/// enclosing spec string, named in the std::invalid_argument on failure.
+/// signs on unsigned types, trailing garbage, overflow, and (for floating T)
+/// "nan"/"inf", which from_chars accepts but no spec field can use: a NaN
+/// slips past every range check. `spec` is the enclosing spec string, named
+/// in the std::invalid_argument on failure.
 template <typename T>
 [[nodiscard]] T parse_spec_number(const std::string& token,
                                   const std::string& spec) {
   T value{};
   const auto [end, ec] =
       std::from_chars(token.data(), token.data() + token.size(), value);
+  bool finite = true;
+  if constexpr (std::is_floating_point_v<T>) finite = std::isfinite(value);
   if (token.empty() || ec != std::errc() ||
-      end != token.data() + token.size()) {
+      end != token.data() + token.size() || !finite) {
     throw std::invalid_argument("bad number '" + token + "' in spec: " +
                                 spec);
   }

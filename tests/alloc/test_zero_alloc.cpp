@@ -41,14 +41,14 @@ TEST(ZeroAlloc, WarmWorkspaceKernelsAllocateNothing) {
   ws.distances_into(g, 0, out);
   ws.distances_into_scalar(g, 0, out);
   (void)ws.ball(g, 100, 5);
-  (void)ws.eccentricity(g, 7);
+  (void)ws.farthest(g, 7);
 
   const std::uint64_t before = nav::allocation_count();
   for (NodeId s = 0; s < 32; ++s) {
     ws.distances_into(g, s, out);              // direction-optimizing sweep
     ws.distances_into_scalar(g, s, out, 6);    // bounded scalar sweep
     (void)ws.ball(g, s, 4);                    // sparse ball
-    (void)ws.eccentricity(g, s);
+    (void)ws.farthest(g, s);                   // sparse eccentricity sweep
   }
   const std::uint64_t after = nav::allocation_count();
   EXPECT_EQ(after - before, 0u)

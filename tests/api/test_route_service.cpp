@@ -11,6 +11,7 @@
 #include "api/engine.hpp"
 #include "graph/families.hpp"
 #include "routing/trial_runner.hpp"
+#include "support/trial_reference.hpp"
 
 namespace nav::api {
 namespace {
@@ -168,7 +169,7 @@ TEST(RouteService, SubmitDeliversFailuresThroughTheFuture) {
 
 TEST(RouteService, EstimateDiameterMatchesTrialRunnerBitForBit) {
   // The Experiment rewiring contract: handed the trial_pairs selection, the
-  // batched estimator must reproduce routing::estimate_routed_diameter
+  // batched estimator must reproduce the sequential reference estimator
   // exactly — same child streams, same accumulation order.
   auto engine = NavigationEngine::from_family("grid2d", 256);
   engine.use_scheme("ml");
@@ -177,8 +178,8 @@ TEST(RouteService, EstimateDiameterMatchesTrialRunnerBitForBit) {
   config.resamples = 5;
   const Rng rng(0xbeef);
 
-  const auto reference = routing::estimate_routed_diameter(
-      engine.router(), engine.scheme(), engine.oracle(), config, rng);
+  const auto reference = routing::estimate_diameter_reference(
+      engine.router(), engine.scheme(), config, rng);
   const auto batched = RouteService(engine).estimate_diameter(
       config, rng, routing::trial_pairs(engine.graph(), config, rng));
 

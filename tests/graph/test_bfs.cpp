@@ -2,12 +2,19 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
+#include "graph/bfs_engine.hpp"
 #include "graph/generators.hpp"
 
 namespace nav::graph {
 namespace {
+
+/// A BFS truncated at `radius` (the workspace's bounded kernel).
+std::vector<Dist> bounded_distances(const Graph& g, NodeId source,
+                                    Dist radius) {
+  std::vector<Dist> dist(g.num_nodes());
+  local_bfs_workspace().distances_into(g, source, dist, radius);
+  return dist;
+}
 
 TEST(Bfs, PathDistances) {
   const auto g = make_path(5);
@@ -23,14 +30,14 @@ TEST(Bfs, UnreachableIsInf) {
 
 TEST(Bfs, BoundedStopsAtRadius) {
   const auto g = make_path(10);
-  const auto d = bfs_distances_bounded(g, 0, 3);
+  const auto d = bounded_distances(g, 0, 3);
   EXPECT_EQ(d[3], 3u);
   EXPECT_EQ(d[4], kInfDist);
 }
 
 TEST(Bfs, BoundedZeroRadiusOnlySource) {
   const auto g = make_path(4);
-  const auto d = bfs_distances_bounded(g, 2, 0);
+  const auto d = bounded_distances(g, 2, 0);
   EXPECT_EQ(d[2], 0u);
   EXPECT_EQ(d[1], kInfDist);
   EXPECT_EQ(d[3], kInfDist);
@@ -41,7 +48,7 @@ TEST(Ball, SizesOnPath) {
   EXPECT_EQ(ball(g, 50, 0).size(), 1u);
   EXPECT_EQ(ball(g, 50, 3).size(), 7u);   // 3 left + center + 3 right
   EXPECT_EQ(ball(g, 0, 5).size(), 6u);    // one-sided at the endpoint
-  EXPECT_EQ(ball_size(g, 50, 200), 100u); // whole graph
+  EXPECT_EQ(ball(g, 50, 200).size(), 100u); // whole graph
 }
 
 TEST(Ball, FirstElementIsCenterAndOrderIsByDistance) {
@@ -59,23 +66,9 @@ TEST(Ball, GridBallCountsMatchManhattan) {
   const auto g = make_grid2d(21, 21);
   const NodeId center = 10 * 21 + 10;
   for (Dist r = 0; r <= 4; ++r) {
-    EXPECT_EQ(ball_size(g, center, r), 2u * r * r + 2u * r + 1u) << "r=" << r;
+    EXPECT_EQ(ball(g, center, r).size(), 2u * r * r + 2u * r + 1u)
+        << "r=" << r;
   }
-}
-
-TEST(MultiSourceBfs, NearestSourceWins) {
-  const auto g = make_path(10);
-  const auto d = multi_source_bfs(g, {0, 9});
-  EXPECT_EQ(d[0], 0u);
-  EXPECT_EQ(d[9], 0u);
-  EXPECT_EQ(d[4], 4u);
-  EXPECT_EQ(d[5], 4u);
-}
-
-TEST(MultiSourceBfs, DuplicateSourcesFine) {
-  const auto g = make_path(5);
-  const auto d = multi_source_bfs(g, {2, 2, 2});
-  EXPECT_EQ(d[0], 2u);
 }
 
 TEST(FarthestNode, PathEndpoint) {
@@ -85,41 +78,10 @@ TEST(FarthestNode, PathEndpoint) {
   EXPECT_EQ(far.distance, 4u);
 }
 
-TEST(ShortestPath, PathGraphIsIdentity) {
-  const auto g = make_path(6);
-  const auto p = shortest_path(g, 1, 4);
-  ASSERT_EQ(p.size(), 4u);
-  EXPECT_EQ(p.front(), 1u);
-  EXPECT_EQ(p.back(), 4u);
-  for (std::size_t i = 0; i + 1 < p.size(); ++i) {
-    EXPECT_TRUE(g.has_edge(p[i], p[i + 1]));
-  }
-}
-
-TEST(ShortestPath, SourceEqualsTarget) {
-  const auto g = make_path(3);
-  const auto p = shortest_path(g, 1, 1);
-  ASSERT_EQ(p.size(), 1u);
-  EXPECT_EQ(p[0], 1u);
-}
-
-TEST(ShortestPath, UnreachableGivesEmpty) {
-  Graph g(3, {{0, 1}});
-  EXPECT_TRUE(shortest_path(g, 0, 2).empty());
-}
-
-TEST(ShortestPath, GridLengthMatchesBfs) {
-  const auto g = make_grid2d(6, 7);
-  const auto d = bfs_distances(g, 0);
-  const auto p = shortest_path(g, 0, 41);
-  EXPECT_EQ(p.size(), d[41] + 1u);
-}
-
 TEST(Bfs, RejectsBadSource) {
   const auto g = make_path(3);
   EXPECT_THROW(bfs_distances(g, 5), std::invalid_argument);
   EXPECT_THROW(ball(g, 5, 1), std::invalid_argument);
-  EXPECT_THROW(multi_source_bfs(g, {}), std::invalid_argument);
 }
 
 }  // namespace

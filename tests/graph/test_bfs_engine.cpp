@@ -328,29 +328,17 @@ TEST(BfsEngine, BallWholeGraphDetection) {
   EXPECT_EQ(mid.order.size(), 10u);
 }
 
-TEST(BfsEngine, MultiSourceMatchesWrapper) {
-  BfsWorkspace ws;
-  for (const auto& [name, g] : differential_graphs()) {
-    const std::vector<NodeId> sources{0, g.num_nodes() - 1, 0};
-    const auto expect = multi_source_bfs(g, sources);
-    std::vector<Dist> out(g.num_nodes());
-    ws.multi_source_into(g, sources, out);
-    EXPECT_EQ(out, expect) << name;
-  }
-}
-
 TEST(BfsEngine, EccentricityAndFarthestMatchReference) {
   BfsWorkspace ws;
   for (const auto& [name, g] : differential_graphs()) {
     for (const NodeId s : sample_sources(g)) {
+      // far.distance is s's eccentricity within its component (the
+      // disconnected graph included).
       const auto dist = bfs_distances_reference(g, s);
-      Dist ecc = 0;
       FarthestResult far{s, 0};
       for (NodeId v = 0; v < g.num_nodes(); ++v) {
         if (dist[v] != kInfDist && dist[v] > far.distance) far = {v, dist[v]};
-        if (dist[v] != kInfDist) ecc = std::max(ecc, dist[v]);
       }
-      EXPECT_EQ(ws.eccentricity(g, s), ecc) << name << " source=" << s;
       const auto got = ws.farthest(g, s);
       EXPECT_EQ(got.node, far.node) << name << " source=" << s;
       EXPECT_EQ(got.distance, far.distance) << name << " source=" << s;
@@ -407,8 +395,7 @@ TEST(BfsEngine, KernelsValidateArguments) {
   EXPECT_THROW(ws.distances_into(g, 9, out), std::invalid_argument);
   EXPECT_THROW(ws.distances_into(g, 0, wrong), std::invalid_argument);
   EXPECT_THROW(ws.ball(g, 4, 1), std::invalid_argument);
-  EXPECT_THROW(ws.eccentricity(g, 7), std::invalid_argument);
-  EXPECT_THROW(ws.multi_source_into(g, {}, out), std::invalid_argument);
+  EXPECT_THROW((void)ws.farthest(g, 7), std::invalid_argument);
 }
 
 TEST(BfsEngine, SparseDenseCutoverIsExplicit) {

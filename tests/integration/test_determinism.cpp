@@ -6,8 +6,9 @@
 #include "core/scheme_factory.hpp"
 #include "graph/families.hpp"
 #include "graph/generators.hpp"
-#include "routing/trial_runner.hpp"
 #include "runtime/thread_pool.hpp"
+#include "support/service_trials.hpp"
+#include "support/trial_reference.hpp"
 
 namespace nav {
 namespace {
@@ -37,10 +38,12 @@ TEST(Determinism, PairEstimateIndependentOfParallelism) {
   graph::DistanceMatrix oracle(g);
   Rng rng(5);
   const auto scheme = core::make_scheme("ball", g, rng);
-  const auto par =
-      routing::estimate_pair(g, scheme.get(), oracle, 0, 511, 24, Rng(6), true);
-  const auto seq = routing::estimate_pair(g, scheme.get(), oracle, 0, 511, 24,
-                                          Rng(6), false);
+  // The production batch runs on the global pool at its width (NAV_WORKERS
+  // in CI); the reference routes one replicate at a time.
+  const auto par = routing::service_pair_estimate(g, scheme.get(), oracle, 0,
+                                                  511, 24, Rng(6));
+  const auto seq = routing::estimate_pair_reference(
+      routing::GreedyRouter(g, oracle), scheme.get(), 0, 511, 24, Rng(6));
   EXPECT_DOUBLE_EQ(par.mean_steps, seq.mean_steps);
   EXPECT_DOUBLE_EQ(par.max_steps, seq.max_steps);
   EXPECT_DOUBLE_EQ(par.mean_long_links, seq.mean_long_links);

@@ -52,7 +52,8 @@ TEST(FaultSpec, RejectsMalformedClauses) {
   for (const auto* bad :
        {"blorp:0.5", "fail", "fail:1.5", "fail:-0.1", "fail:x",
         "stall:0.1:stall:0.2", "slow:0.5", "slow:0.5:-3", "seed:x",
-        "fail:0.05:seed"}) {
+        "fail:0.05:seed", "fail:nan", "stall:nan", "slow:0.5:inf",
+        "slow:0.5:nan"}) {
     EXPECT_THROW((void)FaultSpec::parse(split(bad), bad),
                  std::invalid_argument)
         << bad;

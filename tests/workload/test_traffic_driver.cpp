@@ -34,7 +34,8 @@ TEST(ArrivalSchedule, ParsesAndRejects) {
   EXPECT_EQ(burst.burst_size, 4u);
   EXPECT_DOUBLE_EQ(burst.gap_seconds, 0.125);
   for (const auto* bad : {"steady", "poisson", "poisson:0", "poisson:x",
-                          "burst:4", "burst:0:1", "burst:2:-1"}) {
+                          "poisson:inf", "burst:4", "burst:0:1", "burst:2:-1",
+                          "burst:4:inf"}) {
     EXPECT_THROW((void)ArrivalSchedule::parse(bad), std::invalid_argument)
         << bad;
   }
