@@ -88,7 +88,8 @@ int main(int argc, char** argv) {
     traffic.batches = h.quick() ? 8 : 32;
     traffic.batch_size = h.quick() ? 64 : 256;
 
-    const std::string trace_path = h.out_path("bench_e12_trace.jsonl");
+    const std::string trace_file = "bench_e12_trace.jsonl";
+    const std::string trace_path = h.out_path(trace_file);
     for (const auto& scheme : schemes) {
       engine.use_scheme(scheme, h.seed(0x5eed));
       api::RouteService service(engine);
@@ -109,9 +110,14 @@ int main(int argc, char** argv) {
       for (const auto& spec : specs) {
         const auto demand = engine.make_workload(spec, h.seed(0xE12));
         workload::TrafficDriver driver(service, *demand, traffic);
-        const auto report = driver.run(Rng(h.seed(0xD81)));
+        auto report = driver.run(Rng(h.seed(0xD81)));
+        // Key the replay cell by the trace's file name: --out must not
+        // rename the series.
+        if (spec == "trace:" + trace_path) {
+          report.workload = "trace:" + trace_file;
+        }
         table.add_row(
-            {spec, Table::integer(report.pairs_admitted),
+            {report.workload, Table::integer(report.pairs_admitted),
              Table::num(report.hops.p50, 1), Table::num(report.hops.p95, 1),
              Table::num(report.hops.p99, 1),
              Table::num(report.stretch.p95, 2),

@@ -493,7 +493,7 @@ void run_packed_routing_cells(bench::Harness& h) {
     }
     for (const DistWidth width :
          {DistWidth::kU8, DistWidth::kU16, DistWidth::kU32}) {
-      const graph::TargetDistanceCache cache(g, kTargets, {}, width);
+      const graph::TargetDistanceCache cache(g, kTargets, width);
       const routing::GreedyRouter router(g, cache);
       std::vector<graph::DistVecPtr> rows;
       try {

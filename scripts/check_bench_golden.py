@@ -4,24 +4,29 @@
 Three modes, all run from ctest (see CMakeLists.txt):
 
   jsonl <binary> <produced-file> <golden>
-      Runs `<binary> --quick --jsonl` in a scratch directory and compares
-      the produced JSONL against the golden, line by line, after masking
-      wall-clock-dependent fields (MASKED_KEYS set to 0). Everything else —
-      field order, counts, hop/stretch quantiles, double formatting — is
-      pinned byte-for-byte through a canonical re-dump.
+      Runs `<binary> --quick --jsonl --out out` in a scratch directory and
+      compares the produced JSONL against the golden, line by line, after
+      masking wall-clock-dependent fields (MASKED_KEYS set to 0). Everything
+      else — field order, counts, hop/stretch quantiles, double formatting —
+      is pinned byte-for-byte through a canonical re-dump.
 
   traj <binary> <produced-file> <golden>
-      Runs `<binary> --quick --jsonl` in a scratch directory and compares
-      the produced nav-bench-trajectory-v1 document (BENCH_<id>.json, the
-      bench::Harness output) against the golden: header fields (schema,
-      key/metric classification, group_by) and every cell are pinned after
-      masking the document's own loose_metrics plus MASKED_KEYS — i.e. the
-      harness's wall-clock classification drives the masking.
+      Runs `<binary> --quick --jsonl --out out` in a scratch directory and
+      compares the produced nav-bench-trajectory-v1 document
+      (BENCH_<id>.json, the bench::Harness output) against the golden:
+      header fields (schema, key/metric classification, group_by) and every
+      cell are pinned after masking the document's own loose_metrics plus
+      MASKED_KEYS — i.e. the harness's wall-clock classification drives the
+      masking.
 
   list <binary> <golden>
       Runs `<binary> --benchmark_list_tests` (google-benchmark) and
       compares the output bytes exactly: the registered benchmark names and
       argument grids are the deterministic surface of a timing suite.
+
+Both masked modes read the produced file from the scratch directory's
+`out/`, so the goldens also pin that no output (a cell key included)
+depends on the --out directory.
 
 Pass --update as the last argument to rewrite the golden from the current
 build (then read the diff in review before committing it).
@@ -34,6 +39,10 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+
+# The --out directory every masked-mode run writes into, inside its scratch
+# directory.
+OUT_DIR = "out"
 
 # Wall-clock observations: masked before comparison. The demand, the routes,
 # and their quantiles stay pinned.
@@ -95,13 +104,14 @@ def diff_lines(produced_name, golden_path, produced, golden):
 def run_masked(binary, produced_name, golden_path, update, canonicaliser):
     with tempfile.TemporaryDirectory() as scratch:
         result = subprocess.run(
-            [str(pathlib.Path(binary).resolve()), "--quick", "--jsonl"],
+            [str(pathlib.Path(binary).resolve()), "--quick", "--jsonl",
+             "--out", OUT_DIR],
             cwd=scratch, capture_output=True, text=True)
         if result.returncode != 0:
             print(f"FAIL: {binary} exited {result.returncode}\n"
                   f"{result.stderr}", file=sys.stderr)
             return 1
-        produced_file = pathlib.Path(scratch) / produced_name
+        produced_file = pathlib.Path(scratch) / OUT_DIR / produced_name
         if not produced_file.exists():
             print(f"FAIL: {binary} did not write {produced_name}",
                   file=sys.stderr)

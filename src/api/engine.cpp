@@ -11,7 +11,6 @@ NavigationEngine::NavigationEngine(graph::Graph g, EngineOptions options)
     : graph_(std::make_unique<graph::Graph>(std::move(g))) {
   NAV_REQUIRE(graph_->num_nodes() >= 2, "engine needs a routable graph");
   graph::OracleConfig config;
-  config.dense_limit = options.dense_oracle_limit;
   config.cache_slots = options.cache_capacity;
   oracle_ = graph::make_oracle(options.oracle_spec, *graph_, config);
   router_ = routing::make_router(router_spec_, *graph_, *oracle_);

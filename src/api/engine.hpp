@@ -7,7 +7,7 @@
 // every call. NavigationEngine bundles:
 //   * the graph (owned),
 //   * a distance oracle built by graph::make_oracle from options.oracle_spec
-//     ("auto" keeps the historical size rule: n <= dense_oracle_limit gets a
+//     ("auto" keeps the size rule: n <= graph::kDenseOracleLimit gets a
 //     precomputed DistanceMatrix, larger graphs an LRU TargetDistanceCache),
 //   * one augmentation scheme (registry spec or a custom SchemePtr),
 //   * one router (registry spec; "greedy" by default),
@@ -39,9 +39,6 @@ struct EngineOptions {
   /// Distance backend, as a graph::make_oracle spec ("auto" | "matrix[:w]" |
   /// "cache[:cap][:w]" | "landmark:k[:sel]" — grammar in docs/API.md).
   std::string oracle_spec = "auto";
-  /// "auto" only: sizes up to this use a dense all-pairs DistanceMatrix
-  /// (O(n²) words); larger graphs use a per-target BFS cache.
-  graph::NodeId dense_oracle_limit = 4096;
   /// "auto" / bare "cache": resident target-vector count for the BFS cache.
   std::size_t cache_capacity = 64;
 };

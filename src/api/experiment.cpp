@@ -192,11 +192,6 @@ Experiment& Experiment::seed(std::uint64_t seed) {
   return *this;
 }
 
-Experiment& Experiment::dense_oracle_limit(graph::NodeId limit) {
-  dense_oracle_limit_ = limit;
-  return *this;
-}
-
 Experiment& Experiment::stream_to(ResultSink& sink) {
   sinks_.push_back(&sink);
   return *this;
@@ -227,7 +222,6 @@ ExperimentResult Experiment::run() const {
   // The "auto" cell reuses the shared per-size oracle below; this config
   // only serves explicit non-"auto" axis values.
   graph::OracleConfig oracle_config;
-  oracle_config.dense_limit = dense_oracle_limit_;
   oracle_config.cache_slots = trials_.num_pairs + 8;
 
   ExperimentResult result;

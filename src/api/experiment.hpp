@@ -156,9 +156,6 @@ class Experiment {
   Experiment& trials(const routing::TrialConfig& config);
   /// Master seed: one value pins every graph, scheme, and trial draw.
   Experiment& seed(std::uint64_t seed);
-  /// Cap on oracle memory: sizes <= this use a full DistanceMatrix, larger
-  /// ones a TargetDistanceCache.
-  Experiment& dense_oracle_limit(graph::NodeId limit);
   /// Streams each finished cell to `sink` (call repeatedly to stack sinks;
   /// the sink must outlive run()).
   Experiment& stream_to(ResultSink& sink);
@@ -186,7 +183,6 @@ class Experiment {
   std::vector<std::string> oracles_ = {"auto"};
   routing::TrialConfig trials_;
   std::uint64_t seed_ = 0x5eed;
-  graph::NodeId dense_oracle_limit_ = 4096;
   std::vector<ResultSink*> sinks_;
 };
 

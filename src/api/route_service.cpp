@@ -213,8 +213,8 @@ RouteReport RouteService::route_jobs(std::span<const RouteJob> jobs) const {
       if (!pinned[s]) pending.push_back(s);
     }
     double backoff = rz.backoff_base_seconds;
-    for (std::size_t round = 0; !pending.empty() && round < rz.max_retries;
-         ++round) {
+    for (std::size_t round = 0;
+         !pending.empty() && round < ResilienceOptions::kMaxRetries; ++round) {
       if (budget_spent()) {
         report.deadline_breached = true;
         break;
@@ -283,7 +283,7 @@ RouteReport RouteService::route_jobs(std::span<const RouteJob> jobs) const {
       }
     }
     // Dynamic scheduling: shard sizes are as skewed as the workload.
-    nav::parallel_for_dynamic(lo, hi, [&](std::size_t k) {
+    nav::parallel_for(lo, hi, [&](std::size_t k) {
       const std::size_t s = k - lo;
       if (slot_source[s] == RowSource::kNone) return;
       const routing::Router& shard_router =

@@ -10,7 +10,7 @@
 //   2. prefetch the shard targets in waves of at most max_pinned_targets
 //      through the oracle's batch interface (one BFS per miss, farmed across
 //      the pool; the rows stay pinned for the wave, immune to LRU eviction),
-//   3. execute the wave's shards across the pool (parallel_for_dynamic —
+//   3. execute the wave's shards across the pool (parallel_for's claim loop —
 //      shards are uneven), each routing through its pinned row
 //      (Router::route_row), so no pool task ever queries the oracle,
 //   4. inside a shard, route pairs in request order.
@@ -247,7 +247,7 @@ struct ResilienceOptions {
   /// Retry rounds per prefetch wave before giving up on a target. Each
   /// round retries only the still-failing subset (the oracle's partial-
   /// success contract fills everything else), so convergence is per-target.
-  std::size_t max_retries = 3;
+  static constexpr std::size_t kMaxRetries = 3;
   /// Virtual backoff before retry round k: base * 2^(k-1) seconds, advanced
   /// on the global virtual clock — deterministic, never a real sleep.
   /// Must be finite and >= 0.

@@ -33,7 +33,7 @@ const char* const kNumericKeyFields[] = {
     "eps",   "k",           "alpha",   "batches",    "batch_size",
     "cache_capacity", "workers",
     // dynamic subsystem grid axes (bench_e13_dynamic, sweep_cli):
-    "fail_frac", "round", "mutate_every",
+    "fail_frac", "round",
     // oracle-backend grid axes (bench_micro M4, sweep_cli --oracle; the
     // "oracle" spec itself is a string field, hence a key already):
     "landmarks",

@@ -10,6 +10,7 @@
 #include "core/rank_scheme.hpp"
 #include "core/uniform_scheme.hpp"
 #include "dynamic/rewire_scheme.hpp"
+#include "runtime/parse.hpp"
 
 namespace nav::core {
 
@@ -18,7 +19,7 @@ SchemePtr make_scheme(const std::string& spec, const Graph& g, Rng& rng) {
   if (spec == "uniform") return std::make_unique<UniformScheme>(g);
   if (spec == "ball") return std::make_unique<BallScheme>(g);
   if (spec.rfind("ball-fixed:", 0) == 0) {
-    const auto k = static_cast<std::uint32_t>(std::stoul(spec.substr(11)));
+    const auto k = parse_spec_number<std::uint32_t>(spec.substr(11), spec);
     return BallScheme::make_fixed_level(g, k);
   }
   if (spec == "ml") return std::make_unique<MLScheme>(g);
@@ -48,7 +49,7 @@ SchemePtr make_scheme(const std::string& spec, const Graph& g, Rng& rng) {
         "ml-random-label");
   }
   if (spec.rfind("kleinberg:", 0) == 0) {
-    const double alpha = std::stod(spec.substr(10));
+    const double alpha = parse_spec_number<double>(spec.substr(10), spec);
     return std::make_unique<KleinbergScheme>(g, alpha);
   }
   if (spec == "rank") return std::make_unique<RankScheme>(g);

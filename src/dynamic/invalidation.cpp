@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "graph/oracle_factory.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/assert.hpp"
 
@@ -77,23 +78,30 @@ class ScopedStatsMirror {
   InvalidationStats before_;
 };
 
+// The make_oracle spec of each backend choice: u32 rows, default cache slots.
+const char* backend_spec(DynamicOracle::Backend backend) {
+  switch (backend) {
+    case DynamicOracle::Backend::kCache: return "cache";
+    case DynamicOracle::Backend::kMatrix: return "matrix";
+    case DynamicOracle::Backend::kAuto: break;
+  }
+  return "auto";
+}
+
 }  // namespace
 
 DynamicOracle::DynamicOracle(DynamicGraph& g, Options options)
-    : graph_(g), options_(options) {
-  const graph::NodeId n = g.graph().num_nodes();
-  backend_ = options_.backend;
-  if (backend_ == Backend::kAuto) {
-    backend_ = n <= options_.dense_limit ? Backend::kMatrix : Backend::kCache;
-  }
-  if (backend_ == Backend::kMatrix) {
-    matrix_ = std::make_unique<graph::DistanceMatrix>(g.graph());
+    : graph_(g),
+      options_(options),
+      backend_(graph::make_oracle(backend_spec(options.backend), g.graph())),
+      matrix_(dynamic_cast<graph::DistanceMatrix*>(backend_.get())),
+      cache_(dynamic_cast<graph::TargetDistanceCache*>(backend_.get())) {
+  NAV_ASSERT((matrix_ != nullptr) != (cache_ != nullptr));
+  if (matrix_ != nullptr) {
     // Every row is resident and exact at generation 0.
+    const graph::NodeId n = g.graph().num_nodes();
     stamps_.reserve(n);
     for (graph::NodeId t = 0; t < n; ++t) stamps_.emplace(t, watermark_);
-  } else {
-    cache_ = std::make_unique<graph::TargetDistanceCache>(
-        g.graph(), options_.cache_capacity);
   }
   graph_.subscribe(*this);
 }
@@ -114,20 +122,14 @@ void DynamicOracle::stamp_validated(graph::NodeId target) const {
 }
 
 DistVecPtr DynamicOracle::distances_to(graph::NodeId target) const {
-  DistVecPtr row = backend_ == Backend::kMatrix
-                       ? matrix_->distances_to(target)
-                       : cache_->distances_to(target);
+  DistVecPtr row = backend_->distances_to(target);
   stamp_validated(target);
   return row;
 }
 
 void DynamicOracle::prefetch_into(std::span<const graph::NodeId> targets,
                                   std::vector<DistVecPtr>& out) const {
-  if (backend_ == Backend::kMatrix) {
-    matrix_->prefetch_into(targets, out);
-  } else {
-    cache_->prefetch_into(targets, out);
-  }
+  backend_->prefetch_into(targets, out);
   for (const graph::NodeId t : targets) stamp_validated(t);
 }
 
@@ -146,7 +148,7 @@ bool DynamicOracle::event_affects_row(const EdgeMutation& event,
 void DynamicOracle::flush(const DynamicGraph& g) {
   // Callers hold mutex_.
   stamps_.clear();
-  if (backend_ == Backend::kMatrix) {
+  if (matrix_ != nullptr) {
     const graph::NodeId n = g.graph().num_nodes();
     matrix_->rebuild_all(g.graph());
     stats_.rows_rebuilt += n;
@@ -175,7 +177,7 @@ void DynamicOracle::on_mutation(const DynamicGraph& g,
   if (options_.mode == Mode::kFullFlush) {
     ++stats_.full_flushes;
     const std::uint64_t residents =
-        backend_ == Backend::kMatrix
+        matrix_ != nullptr
             ? static_cast<std::uint64_t>(g.graph().num_nodes())
             : static_cast<std::uint64_t>(cache_->resident_targets().size());
     stats_.targets_scanned += residents;
@@ -184,7 +186,7 @@ void DynamicOracle::on_mutation(const DynamicGraph& g,
     return;
   }
 
-  if (backend_ == Backend::kMatrix) {
+  if (matrix_ != nullptr) {
     const graph::NodeId n = g.graph().num_nodes();
     std::vector<graph::NodeId> affected;
     for (graph::NodeId t = 0; t < n; ++t) {

@@ -23,7 +23,10 @@
 // row and the scan stops.
 //
 // DynamicOracle wraps either oracle backend behind the same
-// graph::DistanceOracle interface and subscribes to a DynamicGraph:
+// graph::DistanceOracle interface and subscribes to a DynamicGraph. The
+// backend comes from graph::make_oracle ("auto", "cache" or "matrix": u32
+// rows, 64 cache slots), so kAuto follows the one size rule,
+// graph::kDenseOracleLimit:
 //
 //   * TargetDistanceCache backend — invalidated residents are erased (their
 //     arena slots recycle; the next query lazily re-BFSes against the
@@ -96,17 +99,15 @@ class DynamicOracle final : public graph::DistanceOracle,
 
   /// Storage strategy behind the oracle interface.
   enum class Backend : std::uint8_t {
-    kAuto,    ///< matrix when n <= dense_limit, cache otherwise (engine rule)
+    kAuto,    ///< make_oracle("auto"): matrix up to graph::kDenseOracleLimit
     kCache,   ///< TargetDistanceCache (lazy repair)
     kMatrix   ///< DistanceMatrix (eager in-place repair)
   };
 
-  /// Construction knobs; defaults mirror api::EngineOptions.
+  /// Construction knobs.
   struct Options {
     Mode mode = Mode::kIncremental;      ///< invalidation strategy
     Backend backend = Backend::kAuto;    ///< storage selection
-    graph::NodeId dense_limit = 4096;    ///< kAuto: matrix up to this n
-    std::size_t cache_capacity = 64;     ///< cache backend: LRU entries
   };
 
   /// Builds the backend over g.graph() and subscribes to g (g must outlive
@@ -142,8 +143,6 @@ class DynamicOracle final : public graph::DistanceOracle,
   [[nodiscard]] std::uint16_t watermark() const;
   /// The selected invalidation strategy.
   [[nodiscard]] Mode mode() const noexcept { return options_.mode; }
-  /// The resolved storage backend (kAuto decided at construction).
-  [[nodiscard]] Backend backend() const noexcept { return backend_; }
 
   /// The per-row tightness test: true when the event can change the exact
   /// row d (see header comment). Rows of any storage width qualify: entries
@@ -158,9 +157,10 @@ class DynamicOracle final : public graph::DistanceOracle,
 
   DynamicGraph& graph_;
   Options options_;
-  Backend backend_;  // resolved (never kAuto)
-  std::unique_ptr<graph::DistanceMatrix> matrix_;      // kMatrix backend
-  std::unique_ptr<graph::TargetDistanceCache> cache_;  // kCache backend
+  std::unique_ptr<graph::DistanceOracle> backend_;  // from make_oracle
+  // Exactly one is non-null: the backend, downcast to its repair surface.
+  graph::DistanceMatrix* matrix_ = nullptr;
+  graph::TargetDistanceCache* cache_ = nullptr;
 
   mutable std::mutex mutex_;  // guards stamps_, watermark_, stats_
   mutable std::unordered_map<graph::NodeId, std::uint16_t> stamps_;

@@ -7,7 +7,6 @@
 
 #include "obs/metrics.hpp"
 #include "runtime/scratch_pool.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace nav::graph {
 
@@ -448,10 +447,6 @@ FarthestResult BfsWorkspace::farthest(const Graph& g, NodeId source) {
 
 BfsWorkspace& local_bfs_workspace() {
   return nav::thread_scratch<BfsWorkspace>();
-}
-
-std::size_t ParallelPolicy::resolved_workers() const noexcept {
-  return num_workers == 0 ? ThreadPool::default_threads() : num_workers;
 }
 
 }  // namespace nav::graph

@@ -224,19 +224,4 @@ class BfsWorkspace {
 /// reference across a point where the same thread may re-enter the engine.
 [[nodiscard]] BfsWorkspace& local_bfs_workspace();
 
-// ---- parallel policy -----------------------------------------------------
-
-/// How much of the machine a parallel consumer may use. The one knob the
-/// DistanceMatrix build and the oracle prefetch waves hang off: both farm
-/// whole rows (one scalar sweep per lane over distinct targets) across the
-/// global thread pool, capped at resolved_workers() lanes.
-struct ParallelPolicy {
-  /// Worker lanes (0 = ThreadPool::default_threads(): one per hardware
-  /// thread unless NAV_WORKERS overrides it; 1 = serial).
-  std::size_t num_workers = 0;
-
-  /// num_workers resolved against the hardware (always >= 1).
-  [[nodiscard]] std::size_t resolved_workers() const noexcept;
-};
-
 }  // namespace nav::graph

@@ -55,9 +55,8 @@ void DistanceOracle::prefetch_into(std::span<const NodeId> targets,
   for (const NodeId t : targets) out.push_back(distances_to(t));
 }
 
-DistanceMatrix::DistanceMatrix(const Graph& g, ParallelPolicy policy,
-                               DistWidth width)
-    : n_(g.num_nodes()), policy_(policy), width_(width) {
+DistanceMatrix::DistanceMatrix(const Graph& g, DistWidth width)
+    : n_(g.num_nodes()), width_(width) {
   NAV_OBS_SPAN("oracle.matrix_build", "rows", static_cast<double>(n_));
   // Deliberately uninitialised (default-init, not value-init): every entry
   // is BFS-filled below, and skipping the zero pass means the first touch of
@@ -65,9 +64,8 @@ DistanceMatrix::DistanceMatrix(const Graph& g, ParallelPolicy policy,
   // pages land near that worker's socket.
   slab_ = std::shared_ptr<std::uint8_t[]>(new std::uint8_t[
       static_cast<std::size_t>(n_) * n_ * width_bytes(width_)]);
-  nav::parallel_for_dynamic(
-      0, n_, [&](std::size_t t) { fill_row(g, static_cast<NodeId>(t)); },
-      policy_.resolved_workers());
+  nav::parallel_for(
+      0, n_, [&](std::size_t t) { fill_row(g, static_cast<NodeId>(t)); });
   check_saturation();
   // Counted from the coordinator, not the pool workers: one shard write
   // instead of n, and lane threads stay metrics-free (the warm-parallel
@@ -111,13 +109,10 @@ void DistanceMatrix::rebuild_rows(const Graph& g,
   NAV_REQUIRE(g.num_nodes() == n_, "rebuild graph/matrix size mismatch");
   NAV_OBS_SPAN("oracle.rebuild_rows", "rows",
                static_cast<double>(targets.size()));
-  nav::parallel_for_dynamic(
-      0, targets.size(),
-      [&](std::size_t i) {
-        NAV_ASSERT(targets[i] < n_);
-        fill_row(g, targets[i]);
-      },
-      policy_.resolved_workers());
+  nav::parallel_for(0, targets.size(), [&](std::size_t i) {
+    NAV_ASSERT(targets[i] < n_);
+    fill_row(g, targets[i]);
+  });
   check_saturation();
   oracle_metrics().matrix_rows.inc(targets.size());
 }
@@ -125,19 +120,16 @@ void DistanceMatrix::rebuild_rows(const Graph& g,
 void DistanceMatrix::rebuild_all(const Graph& g) {
   NAV_REQUIRE(g.num_nodes() == n_, "rebuild graph/matrix size mismatch");
   NAV_OBS_SPAN("oracle.rebuild_all", "rows", static_cast<double>(n_));
-  nav::parallel_for_dynamic(
-      0, n_, [&](std::size_t t) { fill_row(g, static_cast<NodeId>(t)); },
-      policy_.resolved_workers());
+  nav::parallel_for(
+      0, n_, [&](std::size_t t) { fill_row(g, static_cast<NodeId>(t)); });
   check_saturation();
   oracle_metrics().matrix_rows.inc(n_);
 }
 
 TargetDistanceCache::TargetDistanceCache(const Graph& g, std::size_t capacity,
-                                         ParallelPolicy policy,
                                          DistWidth width)
     : graph_(g),
       capacity_(capacity == 0 ? 1 : capacity),
-      policy_(policy),
       width_(width),
       // One slot per resident entry plus a spare: a miss on a full cache
       // computes its row BEFORE evicting, so without the spare every such
@@ -146,10 +138,9 @@ TargetDistanceCache::TargetDistanceCache(const Graph& g, std::size_t capacity,
              static_cast<std::size_t>(g.num_nodes()) * width_bytes(width)) {}
 
 TargetDistanceCache::TargetDistanceCache(const Graph& g, MemoryBudget budget,
-                                         ParallelPolicy policy,
                                          DistWidth width)
     : TargetDistanceCache(g, capacity_for_budget(budget, g.num_nodes(), width),
-                          policy, width) {}
+                          width) {}
 
 std::size_t TargetDistanceCache::capacity_for_budget(MemoryBudget budget,
                                                      NodeId n,
@@ -363,10 +354,9 @@ void TargetDistanceCache::prefetch_into(std::span<const NodeId> targets,
   fresh.clear();
   fresh.resize(scratch.missing.size());
   if (!scratch.missing.empty()) {
-    nav::parallel_for_dynamic(
-        0, scratch.missing.size(),
-        [&](std::size_t k) { fresh[k] = compute_row(scratch.missing[k]); },
-        policy_.resolved_workers());
+    nav::parallel_for(0, scratch.missing.size(), [&](std::size_t k) {
+      fresh[k] = compute_row(scratch.missing[k]);
+    });
     if (std::any_of(fresh.begin(), fresh.end(),
                     [](const DistVecPtr& row) { return !row; })) {
       fresh.clear();

@@ -109,18 +109,17 @@ class DistanceOracle {
 /// (4-byte Dist by default; 1- or 2-byte rows for low-diameter graphs — see
 /// dist_slab.hpp); distances_to() pins one row of it in place, at that
 /// width. Built with a parallel all-source BFS sweep at construction: rows
-/// are farmed to the worker pool (capped by the policy) and the slab is
-/// handed out UNINITIALISED, so each page is first touched by the worker
-/// that BFS-fills it — on NUMA hosts the rows land near the cores that
-/// wrote them. The policy also caps rebuild_rows/rebuild_all. Distances are
-/// level-synchronous, so the slab is byte-identical for every worker count
-/// (the determinism suite hashes it to prove this). A row whose true
-/// distances exceed the width's max_finite makes construction/rebuild throw
-/// std::invalid_argument instead of storing a saturated lie.
+/// are farmed to the global worker pool (as are rebuild_rows/rebuild_all)
+/// and the slab is handed out UNINITIALISED, so each page is first touched
+/// by the worker that BFS-fills it — on NUMA hosts the rows land near the
+/// cores that wrote them. Distances are level-synchronous, so the slab is
+/// byte-identical for every worker count (the determinism suite hashes it
+/// to prove this). A row whose true distances exceed the width's max_finite
+/// makes construction/rebuild throw std::invalid_argument instead of storing
+/// a saturated lie.
 class DistanceMatrix final : public DistanceOracle {
  public:
-  explicit DistanceMatrix(const Graph& g, ParallelPolicy policy = {},
-                          DistWidth width = DistWidth::kU32);
+  explicit DistanceMatrix(const Graph& g, DistWidth width = DistWidth::kU32);
 
   [[nodiscard]] Dist distance(NodeId u, NodeId target) const override;
   [[nodiscard]] DistVecPtr distances_to(NodeId target) const override;
@@ -161,7 +160,6 @@ class DistanceMatrix final : public DistanceOracle {
   }
 
   NodeId n_;
-  ParallelPolicy policy_;
   DistWidth width_;
   std::shared_ptr<std::uint8_t[]> slab_;  // n_ rows of n_ entries at width_
   std::atomic<bool> saturated_{false};
@@ -187,15 +185,12 @@ class TargetDistanceCache final : public DistanceOracle {
   /// `capacity` = number of target distance vectors kept alive in the cache.
   /// The arena holds capacity + 1 slots (slabs grow lazily towards it): the
   /// spare serves the miss-on-full-cache window where the new row is
-  /// computed before the victim's slot frees. `policy` caps how much of the
-  /// machine prefetch waves may use.
+  /// computed before the victim's slot frees.
   explicit TargetDistanceCache(const Graph& g, std::size_t capacity = 64,
-                               ParallelPolicy policy = {},
                                DistWidth width = DistWidth::kU32);
 
   /// Sizes the LRU from a byte budget via capacity_for_budget.
   TargetDistanceCache(const Graph& g, MemoryBudget budget,
-                      ParallelPolicy policy = {},
                       DistWidth width = DistWidth::kU32);
 
   /// Entry count affordable under `budget` for n-node vectors at a storage
@@ -210,9 +205,9 @@ class TargetDistanceCache final : public DistanceOracle {
   [[nodiscard]] DistVecPtr distances_to(NodeId target) const override;
 
   /// Batched miss handling: the wave's distinct misses are farmed as whole
-  /// rows, one scalar sweep per lane, across the global thread pool (capped
-  /// by the policy; a single miss runs inline on the caller). Callers must
-  /// therefore not invoke this from inside a pool task. Resident targets
+  /// rows, one scalar sweep per lane, across the global thread pool (a
+  /// single miss runs inline on the caller). Callers must therefore not
+  /// invoke this from inside a pool task. Resident targets
   /// are bumped, not recomputed, and a warm all-hit wave performs ZERO heap
   /// allocations (dedup runs on thread-pooled scratch, pins are refcount
   /// copies). Returned pins outlive eviction, so a batch
@@ -269,7 +264,6 @@ class TargetDistanceCache final : public DistanceOracle {
 
   const Graph& graph_;
   std::size_t capacity_;
-  ParallelPolicy policy_;
   DistWidth width_;
   /// capacity + 1 slots of n entries at width_.
   mutable SlabArena<std::uint8_t> arena_;

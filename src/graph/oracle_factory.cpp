@@ -3,6 +3,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "graph/bfs_engine.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/landmark_oracle.hpp"
 #include "resilience/faulty_oracle.hpp"
@@ -71,12 +72,10 @@ std::unique_ptr<DistanceOracle> make_oracle(const std::string& spec,
     if (tokens.size() != 1) {
       throw std::invalid_argument("'auto' takes no arguments: " + spec);
     }
-    // The historical hard-wired policy, bit for bit.
-    if (g.num_nodes() <= config.dense_limit) {
-      return std::make_unique<DistanceMatrix>(g, config.policy);
+    if (g.num_nodes() <= kDenseOracleLimit) {
+      return std::make_unique<DistanceMatrix>(g);
     }
-    return std::make_unique<TargetDistanceCache>(g, config.cache_slots,
-                                                 config.policy);
+    return std::make_unique<TargetDistanceCache>(g, config.cache_slots);
   }
 
   if (head == "matrix") {
@@ -86,7 +85,7 @@ std::unique_ptr<DistanceOracle> make_oracle(const std::string& spec,
     const DistWidth width =
         tokens.size() == 2 ? resolve_width(tokens[1], spec, g)
                            : DistWidth::kU32;
-    return std::make_unique<DistanceMatrix>(g, config.policy, width);
+    return std::make_unique<DistanceMatrix>(g, width);
   }
 
   if (head == "cache") {
@@ -99,15 +98,14 @@ std::unique_ptr<DistanceOracle> make_oracle(const std::string& spec,
                            : DistWidth::kU32;
     if (tokens.size() < 2) {
       return std::make_unique<TargetDistanceCache>(g, config.cache_slots,
-                                                   config.policy, width);
+                                                   width);
     }
     const CacheCap cap = parse_cache_cap(tokens[1], spec);
     if (cap.is_budget) {
       return std::make_unique<TargetDistanceCache>(
-          g, MemoryBudget{cap.value}, config.policy, width);
+          g, MemoryBudget{cap.value}, width);
     }
-    return std::make_unique<TargetDistanceCache>(g, cap.value, config.policy,
-                                                 width);
+    return std::make_unique<TargetDistanceCache>(g, cap.value, width);
   }
 
   if (head == "landmark") {
@@ -166,7 +164,7 @@ std::unique_ptr<DistanceOracle> make_oracle(const std::string& spec,
 
 const std::vector<OracleInfo>& oracle_catalog() {
   static const std::vector<OracleInfo> catalog = {
-      {"auto", "matrix for n <= dense_limit, else a cache (the legacy rule)"},
+      {"auto", "matrix for n <= 4096, else a cache (the size rule)"},
       {"matrix[:u8|u16|u32|auto]",
        "dense all-pairs table at a storage width (auto measures the graph)"},
       {"cache[:<slots>|<bytes>K/M/G][:u8|u16|u32|auto]",

@@ -7,7 +7,7 @@
 // narrow storage widths — are reachable from every surface without new
 // plumbing:
 //
-//   auto                      legacy size rule: matrix for n <= dense_limit,
+//   auto                      the size rule: matrix for n <= kDenseOracleLimit,
 //                             else a cache with cache_slots entries
 //   matrix[:WIDTH]            dense all-pairs DistanceMatrix
 //   cache[:CAP][:WIDTH]       TargetDistanceCache; CAP is an entry count
@@ -28,21 +28,20 @@
 #include <string>
 #include <vector>
 
-#include "graph/bfs_engine.hpp"
 #include "graph/distance_oracle.hpp"
 #include "graph/graph.hpp"
 
 namespace nav::graph {
 
-/// Tunables `make_oracle` folds into spec parsing; the defaults reproduce the
-/// historical hard-wired policy of api::NavigationEngine.
+/// "auto": graphs up to this many nodes get a DistanceMatrix, larger ones a
+/// TargetDistanceCache. The one copy of the size rule (dynamic::DynamicOracle
+/// builds its kAuto backend through make_oracle too).
+inline constexpr NodeId kDenseOracleLimit = 4096;
+
+/// Tunables `make_oracle` folds into spec parsing.
 struct OracleConfig {
-  /// "auto": graphs up to this many nodes get a DistanceMatrix.
-  NodeId dense_limit = 4096;
-  /// "auto" above dense_limit / bare "cache": resident-entry count.
+  /// "auto" above kDenseOracleLimit / bare "cache": resident-entry count.
   std::size_t cache_slots = 64;
-  /// Worker cap for construction sweeps and prefetch waves.
-  ParallelPolicy policy;
 };
 
 /// Builds the oracle described by `spec` over `g`. Throws

@@ -101,18 +101,4 @@ RouteResult GreedyRouter::route_row(NodeId s, NodeId t,
   });
 }
 
-RouteResult GreedyRouter::route_with_contacts(NodeId s, NodeId t,
-                                              std::span<const NodeId> contacts,
-                                              bool record_trace) const {
-  NAV_REQUIRE(contacts.size() == graph_.num_nodes(),
-              "contact vector size mismatch");
-  NAV_REQUIRE(s < graph_.num_nodes() && t < graph_.num_nodes(),
-              "route endpoint out of range");
-  const graph::DistVecPtr row = oracle_.distances_to(t);
-  return row->visit([&](auto dist) {
-    return route_impl(
-        s, t, dist, [&](NodeId u) { return contacts[u]; }, record_trace);
-  });
-}
-
 }  // namespace nav::routing

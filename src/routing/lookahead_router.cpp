@@ -47,28 +47,10 @@ RouteResult LookaheadRouter::route_row(NodeId s, NodeId t,
   });
 }
 
-RouteResult LookaheadRouter::route(NodeId s, NodeId t,
-                                   std::span<const NodeId> contacts,
-                                   bool record_trace) const {
-  NAV_REQUIRE(contacts.size() == graph_.num_nodes(),
-              "contact vector size mismatch");
-  return route(
-      s, t, [&contacts](NodeId u) { return contacts[u]; }, record_trace);
-}
-
-RouteResult LookaheadRouter::route(NodeId s, NodeId t, const ContactFn& contacts,
-                                   bool record_trace) const {
-  NAV_REQUIRE(t < graph_.num_nodes(), "route endpoint out of range");
-  const auto dist_ptr = oracle_.distances_to(t);
-  return dist_ptr->visit([&](auto dist) {
-    return route_impl(s, t, dist, contacts, record_trace);
-  });
-}
-
-template <typename T>
+template <typename T, typename ContactFn>
 RouteResult LookaheadRouter::route_impl(NodeId s, NodeId t,
                                         std::span<const T> dist,
-                                        const ContactFn& contacts,
+                                        ContactFn&& contacts,
                                         bool record_trace) const {
   constexpr T kInf = std::numeric_limits<T>::max();
   NAV_REQUIRE(s < graph_.num_nodes() && t < graph_.num_nodes(),
@@ -79,10 +61,13 @@ RouteResult LookaheadRouter::route_impl(NodeId s, NodeId t,
 
   const NodeId n = graph_.num_nodes();
   // Best distance reachable from w along its chain of <= depth long links.
+  // Contacts are consistent, so a chain longer than n links only revisits
+  // nodes: walking min(depth, n) links scores exactly the same.
+  const std::uint64_t chain_links = std::min<std::uint64_t>(depth_, n);
   auto chain_score = [&](NodeId w) -> T {
     T best = dist[w];
     NodeId x = w;
-    for (unsigned k = 0; k < depth_; ++k) {
+    for (std::uint64_t k = 0; k < chain_links; ++k) {
       x = contacts(x);
       if (x == core::kNoContact || x >= n) break;
       best = std::min(best, dist[x]);
@@ -152,8 +137,8 @@ RouteResult LookaheadRouter::route_impl(NodeId s, NodeId t,
     }
   }
   result.reached = true;
-  NAV_ASSERT(result.steps <=
-             (1u + depth_) * static_cast<std::uint32_t>(result.initial_distance));
+  // 64-bit: (1 + depth) * dist overflows 32 bits at extreme depths.
+  NAV_ASSERT(result.steps <= (1ull + depth_) * result.initial_distance);
   return result;
 }
 

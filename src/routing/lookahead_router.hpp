@@ -18,17 +18,16 @@
 // plain greedy router.
 //
 // Lookahead requires *consistent* contacts (the neighbour's link must be the
-// same when the message reaches it), so the API takes a contact vector —
-// sample one with core::sample_all_contacts — or a memoised contact function
-// (core::MemoContacts). The Router-interface route(scheme, rng) overload
-// builds a MemoContacts internally from its private rng stream.
+// same when the message reaches it): every entry point routes through a
+// core::MemoContacts built from the route's private rng stream, which
+// realises one fixed augmentation lazily. A scheme whose sample_contact
+// ignores the rng (a fixed contact vector) routes that exact augmentation.
 //
 // This is extension experiment E10: how much of the sqrt(n)-barrier can
 // extra *local knowledge* recover, compared to changing the augmentation
 // distribution itself (Theorem 4)?
 #pragma once
 
-#include <functional>
 #include <span>
 
 #include "routing/router.hpp"
@@ -63,18 +62,6 @@ class LookaheadRouter final : public Router {
                                       const AugmentationScheme* scheme, Rng rng,
                                       bool record_trace = false) const override;
 
-  /// NoN-greedy route with fixed contacts (contacts[u] may be kNoContact).
-  [[nodiscard]] RouteResult route(NodeId s, NodeId t,
-                                  std::span<const NodeId> contacts,
-                                  bool record_trace = false) const;
-
-  /// Same protocol over a contact *function* — typically core::MemoContacts,
-  /// which realises the fixed augmentation lazily (the function must return
-  /// the same value on repeated calls for a node).
-  using ContactFn = std::function<NodeId(NodeId)>;
-  [[nodiscard]] RouteResult route(NodeId s, NodeId t, const ContactFn& contacts,
-                                  bool record_trace = false) const;
-
   [[nodiscard]] std::string name() const override {
     return "lookahead:" + std::to_string(depth_);
   }
@@ -89,10 +76,11 @@ class LookaheadRouter final : public Router {
                            bool record_trace) const;
 
   /// The NoN-greedy walk over a row of stored entries T (u8/u16/u32),
-  /// compared raw like GreedyRouter::route_impl.
-  template <typename T>
+  /// compared raw like GreedyRouter::route_impl. `contacts` must return the
+  /// same value on repeated calls for a node.
+  template <typename T, typename ContactFn>
   RouteResult route_impl(NodeId s, NodeId t, std::span<const T> dist,
-                         const ContactFn& contacts, bool record_trace) const;
+                         ContactFn&& contacts, bool record_trace) const;
 
   const Graph& graph_;
   const graph::DistanceOracle& oracle_;

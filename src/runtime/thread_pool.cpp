@@ -104,37 +104,6 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
     for (std::size_t i = begin; i < end; ++i) body(i);
     return;
   }
-  // Static chunking, ~4 chunks per worker to smooth imbalance while keeping
-  // scheduling deterministic in *work*, if not in interleaving.
-  const std::size_t chunks = std::min(total, workers * 4);
-  const std::size_t chunk_size = (total + chunks - 1) / chunks;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = begin + c * chunk_size;
-    if (lo >= end) break;
-    const std::size_t hi = std::min(end, lo + chunk_size);
-    pool.submit([lo, hi, &body] {
-      for (std::size_t i = lo; i < hi; ++i) body(i);
-    });
-  }
-  pool.wait_idle();
-}
-
-void parallel_for_dynamic(ThreadPool& pool, std::size_t begin, std::size_t end,
-                          const std::function<void(std::size_t)>& body) {
-  parallel_for_dynamic(pool, begin, end, body, /*max_workers=*/0);
-}
-
-void parallel_for_dynamic(ThreadPool& pool, std::size_t begin, std::size_t end,
-                          const std::function<void(std::size_t)>& body,
-                          std::size_t max_workers) {
-  if (begin >= end) return;
-  const std::size_t total = end - begin;
-  std::size_t workers = std::max<std::size_t>(1, pool.thread_count());
-  if (max_workers != 0) workers = std::min(workers, max_workers);
-  if (workers == 1 || total == 1) {
-    for (std::size_t i = begin; i < end; ++i) body(i);
-    return;
-  }
   // Shared claim counter: tasks race to fetch the next index, so a long
   // iteration occupies one worker while the rest drain the remainder.
   auto next = std::make_shared<std::atomic<std::size_t>>(begin);
@@ -148,17 +117,6 @@ void parallel_for_dynamic(ThreadPool& pool, std::size_t begin, std::size_t end,
     });
   }
   pool.wait_idle();
-}
-
-void parallel_for_dynamic(std::size_t begin, std::size_t end,
-                          const std::function<void(std::size_t)>& body) {
-  parallel_for_dynamic(global_pool(), begin, end, body);
-}
-
-void parallel_for_dynamic(std::size_t begin, std::size_t end,
-                          const std::function<void(std::size_t)>& body,
-                          std::size_t max_workers) {
-  parallel_for_dynamic(global_pool(), begin, end, body, max_workers);
 }
 
 ThreadPool& global_pool() {

@@ -3,8 +3,10 @@
 // The simulation workloads are embarrassingly parallel (independent routing
 // trials, independent BFS sources). We only need:
 //   * ThreadPool::submit(fn)                — fire-and-forget task;
-//   * parallel_for(pool, begin, end, body)  — static-chunked index loop that
-//                                             blocks until all chunks finish.
+//   * parallel_for(pool, begin, end, body)  — index loop in which one task
+//                                             per worker claims the next
+//                                             index from a shared counter;
+//                                             blocks until every index ran.
 //
 // Determinism contract: `body(i)` must derive all randomness from the index i
 // (e.g. `rng.child(i)`), never from thread identity. Under that contract the
@@ -42,9 +44,9 @@ class ThreadPool {
 
   /// A sensible default size for this machine (hardware_concurrency, >= 1).
   /// The NAV_WORKERS environment variable overrides it with a whole number
-  /// in [1, 1024], so the global pool and ParallelPolicy run at a forced
-  /// worker count; any other value is ignored. global_pool() reads it once,
-  /// at first use.
+  /// in [1, 1024], so the global pool (and with it every parallel_for
+  /// fan-out) runs at a forced worker count; any other value is ignored.
+  /// global_pool() reads it once, at first use.
   [[nodiscard]] static std::size_t default_threads() noexcept;
 
  private:
@@ -59,9 +61,15 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Runs body(i) for every i in [begin, end), distributing contiguous chunks
-/// over the pool. Blocks until complete. Exceptions in body() terminate the
-/// program (tasks are noexcept-by-policy; simulation bodies must not throw).
+/// Runs body(i) for every i in [begin, end) and blocks until complete. One
+/// task per pool worker claims the next unclaimed index from a shared atomic
+/// counter, so a long iteration (e.g. a RouteService target shard holding
+/// most of a batch's pairs) occupies one worker while the rest drain the
+/// remainder. A single worker or a single index runs inline on the caller.
+/// Exceptions in body() terminate the program (tasks are noexcept-by-policy;
+/// simulation bodies must not throw). Must not be called from inside a pool
+/// task: it waits on pool idleness, which a task can never observe for its
+/// own pool.
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body);
 
@@ -69,35 +77,6 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
 /// The global pool is created on first use and lives until process exit.
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body);
-
-/// Like parallel_for, but with dynamic (work-stealing-style) scheduling: one
-/// worker task per pool thread, each claiming the next unclaimed index from a
-/// shared atomic counter. Use when iteration costs are very uneven — e.g.
-/// RouteService target shards, where one shard may hold most of a batch's
-/// pairs — and static chunking would leave workers idle. Blocks until
-/// complete; the determinism contract of parallel_for applies unchanged
-/// (body(i) must derive randomness from i alone). Must not be called from
-/// inside a pool task: like parallel_for it waits on pool idleness, which a
-/// task can never observe for its own pool.
-void parallel_for_dynamic(ThreadPool& pool, std::size_t begin, std::size_t end,
-                          const std::function<void(std::size_t)>& body);
-
-/// parallel_for_dynamic over the process-wide pool.
-void parallel_for_dynamic(std::size_t begin, std::size_t end,
-                          const std::function<void(std::size_t)>& body);
-
-/// parallel_for_dynamic with the worker fan-out capped at `max_workers`
-/// (0 = pool width): at most that many claim tasks are submitted, so callers
-/// can honor a graph::ParallelPolicy narrower than the process-wide pool
-/// without resizing it. max_workers == 1 runs inline on the caller.
-void parallel_for_dynamic(ThreadPool& pool, std::size_t begin, std::size_t end,
-                          const std::function<void(std::size_t)>& body,
-                          std::size_t max_workers);
-
-/// The capped overload on the process-wide pool.
-void parallel_for_dynamic(std::size_t begin, std::size_t end,
-                          const std::function<void(std::size_t)>& body,
-                          std::size_t max_workers);
 
 /// Access to the process-wide pool (created on first use).
 ThreadPool& global_pool();

@@ -1,10 +1,8 @@
 #include "workload/traffic_driver.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <stdexcept>
-#include <thread>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -66,7 +64,6 @@ TrafficDriver::TrafficDriver(api::RouteService& service, Workload& workload,
   NAV_REQUIRE((options_.mutations == nullptr) ==
                   (options_.dynamic_graph == nullptr),
               "mutations and dynamic_graph must be set together");
-  NAV_REQUIRE(options_.mutate_every >= 1, "mutate_every must be >= 1");
 }
 
 WorkloadReport TrafficDriver::run(Rng rng) {
@@ -168,12 +165,6 @@ WorkloadReport TrafficDriver::run(Rng rng) {
 
   for (std::size_t b = 0; b < options_.batches; ++b) {
     auto pairs = workload_.batch(options_.batch_size, gen_rng);
-    if (options_.pace) {
-      while (wall.seconds() < arrivals[b]) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(
-            std::min(arrivals[b] - wall.seconds(), 0.01)));
-      }
-    }
     BatchTrace trace;
     trace.index = b;
     trace.arrival_vtime = arrivals[b];
@@ -193,7 +184,7 @@ WorkloadReport TrafficDriver::run(Rng rng) {
     report.batches.push_back(trace);
     if (mutating) {
       collect(b);  // drain before any mutation may touch the graph
-      if ((b + 1) % options_.mutate_every == 0 && b + 1 < options_.batches) {
+      if (b + 1 < options_.batches) {
         const auto events =
             options_.mutations->step(*options_.dynamic_graph, mutation_rng);
         const dynamic::MutationDelta delta =

@@ -14,9 +14,9 @@
 //   "burst:<size>:<gap>"  groups of `size` simultaneous batches separated by
 //                         `gap` virtual seconds — the saturating shape that
 //                         drives a Bounded/Shed queue into its limits.
-// By default the driver floods: batches are submitted back-to-back in
-// arrival order and the virtual times only annotate the report. With
-// `pace = true` it sleeps to align wall clock with virtual time (demos).
+// The driver floods: batches are submitted back-to-back in arrival order and
+// the virtual times annotate the report (and drive admission on a
+// virtual-time service); it never sleeps.
 //
 // Determinism: batch b's routing stream is rng.child(0xB47).child(b) (a
 // dedicated subtree, collision-free with the other streams at any batch
@@ -75,9 +75,6 @@ struct TrafficOptions {
   std::string schedule = "burst:4:0.0";  ///< ArrivalSchedule::parse spec
   std::size_t batches = 16;              ///< batches to submit
   std::size_t batch_size = 64;           ///< pairs per batch
-  /// Sleep so wall-clock submission tracks the virtual arrival times
-  /// (demos); false floods the queue in arrival order (benches, tests).
-  bool pace = false;
   /// Retain every admitted batch's RouteResults in the report (tests that
   /// check bit-identity; costs memory on big runs).
   bool keep_results = false;
@@ -85,15 +82,14 @@ struct TrafficOptions {
   // ---- dynamic-graph interleaving (both pointers set together) -----------
   /// The versioned graph the service routes over; mutations apply here.
   dynamic::DynamicGraph* dynamic_graph = nullptr;
-  /// Perturbation process stepped between batches. Setting it switches the
-  /// driver to a CLOSED loop: each batch's future is collected before the
-  /// next mutation point, so no route ever runs concurrently with a CSR
-  /// rebuild (the DynamicGraph quiescence contract). The demand and routing
-  /// streams are unchanged — a mutation-free stream (e.g. "churn:0")
-  /// reproduces the open-loop routes bit for bit.
+  /// Perturbation process stepped once after every collected batch but the
+  /// last. Setting it switches the driver to a CLOSED loop: each batch's
+  /// future is collected before the next mutation point, so no route ever
+  /// runs concurrently with a CSR rebuild (the DynamicGraph quiescence
+  /// contract). The demand and routing streams are unchanged — a
+  /// mutation-free stream (e.g. "churn:0") reproduces the open-loop routes
+  /// bit for bit.
   dynamic::MutationStream* mutations = nullptr;
-  /// Apply one stream step after every `mutate_every` collected batches.
-  std::size_t mutate_every = 1;
 };
 
 /// One submitted batch as the driver saw it.

@@ -204,11 +204,11 @@ TEST(ZeroAlloc, WarmPrefetchWaveAllocatesNothing) {
   // An all-hit prefetch wave is the oracle's steady state under RouteService:
   // dedup runs on grow-only thread scratch, residents are refcount copies
   // into a caller-reused vector, and with no misses the pool fan-out is
-  // skipped — nothing may reach the allocator, at the default (parallel)
-  // policy and on narrow storage alike.
+  // skipped — nothing may reach the allocator, at the pool's width and on
+  // narrow storage alike.
   const auto g = make_grid2d(40, 40);
   for (const DistWidth width : {DistWidth::kU32, DistWidth::kU8}) {
-    TargetDistanceCache cache(g, 8, {}, width);
+    TargetDistanceCache cache(g, 8, width);
     const std::vector<NodeId> wave{5, 9, 13, 5, 21, 9};
     std::vector<DistVecPtr> pinned;
     cache.prefetch_into(wave, pinned);  // warm: misses, scratch, out growth
@@ -226,7 +226,8 @@ TEST(ZeroAlloc, WarmPrefetchWaveAllocatesNothing) {
 
 TEST(ZeroAlloc, ParallelMissWavesRecycleArenaRows) {
   // Miss waves farm their rows across the pool: a 1-miss wave runs inline on
-  // the caller, a 2-miss wave on two pool lanes. Either way every row must
+  // the caller, a 2-miss wave on two pool lanes (one at NAV_WORKERS=1).
+  // Every row must match the sequential reference kernel, and every row must
   // come from a recycled arena slot, never a fresh heap block. Bookkeeping
   // per wave stays O(1) (LRU and map nodes, slot control blocks, the
   // fan-out's task closures), so the byte counter proves no n-sized row was
@@ -234,9 +235,7 @@ TEST(ZeroAlloc, ParallelMissWavesRecycleArenaRows) {
   // slot covers the row computed before the eviction); 2-miss waves start
   // from a cleared cache, since a full one has only that one spare.
   const auto g = make_path(4096);
-  ParallelPolicy policy;
-  policy.num_workers = 2;
-  TargetDistanceCache cache(g, 2, policy);
+  TargetDistanceCache cache(g, 2);
   std::vector<DistVecPtr> pinned;
   // Warm every pool thread's BFS workspace (its first sweep grows the queue
   // and bitmaps): the latch holds each task until all have started, so each
@@ -254,17 +253,22 @@ TEST(ZeroAlloc, ParallelMissWavesRecycleArenaRows) {
   for (const std::size_t misses : {std::size_t{1}, std::size_t{2}}) {
     std::vector<NodeId> wave(misses);
     NodeId next = 0;
-    const auto run_wave = [&] {
+    const auto run_wave = [&](bool check) {
       if (misses > 1) cache.clear();
       for (NodeId& t : wave) t = next++;
       cache.prefetch_into(wave, pinned);  // miss, evict, recycle
+      for (std::size_t i = 0; check && i < wave.size(); ++i) {
+        const auto expect = bfs_distances_reference(g, wave[i]);
+        EXPECT_TRUE(*pinned[i] == std::span<const Dist>(expect))
+            << misses << "-miss wave, target " << wave[i];
+      }
       pinned.clear();  // drop the pins so their slots recycle
     };
     cache.clear();
-    for (int i = 0; i < 3; ++i) run_wave();  // warm: spare slot, scratch
+    for (int i = 0; i < 3; ++i) run_wave(true);  // warm: spare slot, scratch
     const std::uint64_t count_before = nav::allocation_count();
     const std::uint64_t bytes_before = nav::allocation_bytes();
-    for (int i = 0; i < 16; ++i) run_wave();
+    for (int i = 0; i < 16; ++i) run_wave(false);
     const std::uint64_t count_after = nav::allocation_count();
     const std::uint64_t bytes_after = nav::allocation_bytes();
     EXPECT_LE(count_after - count_before, 16u * 12u) << misses << "-miss waves";
@@ -278,7 +282,7 @@ TEST(ZeroAlloc, WarmNarrowCacheHitAllocatesNothing) {
   // refcount copy of the packed row's handle, and a point query decodes one
   // packed entry. Neither may touch the allocator once warm.
   const auto g = make_grid2d(40, 40);
-  TargetDistanceCache cache(g, 4, {}, DistWidth::kU16);
+  TargetDistanceCache cache(g, 4, DistWidth::kU16);
   const NodeId target = 123;
   (void)cache.distances_to(target);  // the one miss: BFS + pack
 
@@ -307,7 +311,7 @@ TEST(ZeroAlloc, WarmNarrowWaveRoutesEveryResidentRowWithoutAllocating) {
   std::vector<NodeId> wave(kTargets);
   for (NodeId i = 0; i < kTargets; ++i) wave[i] = 25 * i;
   for (const DistWidth width : {DistWidth::kU8, DistWidth::kU16}) {
-    TargetDistanceCache cache(g, kTargets, {}, width);
+    TargetDistanceCache cache(g, kTargets, width);
     const routing::GreedyRouter router(g, cache);
     std::vector<DistVecPtr> pinned;
     cache.prefetch_into(wave, pinned);  // warm: the misses, scratch growth

@@ -5,6 +5,7 @@
 #include "core/uniform_scheme.hpp"
 #include "graph/generators.hpp"
 #include "graph/landmark_oracle.hpp"
+#include "graph/oracle_factory.hpp"
 
 namespace nav::api {
 namespace {
@@ -20,12 +21,12 @@ TEST(NavigationEngine, FromFamilyBuildsAndRoutes) {
 }
 
 TEST(NavigationEngine, OracleAutoSelectionRespectsLimit) {
-  EngineOptions dense;
-  dense.dense_oracle_limit = 128;
-  auto small = NavigationEngine::from_family("cycle", 64, 0x5eed, dense);
+  auto small = NavigationEngine::from_family("cycle", 64);
   EXPECT_NE(dynamic_cast<const graph::DistanceMatrix*>(&small.oracle()),
             nullptr);
-  auto large = NavigationEngine::from_family("cycle", 256, 0x5eed, dense);
+  auto large =
+      NavigationEngine::from_family("cycle", 2 * graph::kDenseOracleLimit);
+  ASSERT_GT(large.graph().num_nodes(), graph::kDenseOracleLimit);
   EXPECT_NE(dynamic_cast<const graph::TargetDistanceCache*>(&large.oracle()),
             nullptr);
 }

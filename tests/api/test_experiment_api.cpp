@@ -4,6 +4,8 @@
 
 #include <sstream>
 
+#include "graph/oracle_factory.hpp"
+
 namespace nav::api {
 namespace {
 
@@ -241,12 +243,12 @@ TEST(ExperimentApi, RejectsEmptyAndUnknownGrids) {
 }
 
 TEST(ExperimentApi, LargeSizeUsesCacheOracle) {
+  // Past graph::kDenseOracleLimit the "auto" oracle is a cache.
   const auto result = Experiment::on("path")
-                          .sizes({512})
+                          .sizes({2 * graph::kDenseOracleLimit})
                           .schemes({"uniform"})
                           .pairs(2)
                           .resamples(2)
-                          .dense_oracle_limit(128)
                           .run();
   ASSERT_EQ(result.cells.size(), 1u);
   EXPECT_GT(result.cells[0].greedy_diameter, 0.0);

@@ -33,6 +33,26 @@ TEST(RouterRegistry, UnknownSpecThrows) {
                std::invalid_argument);
 }
 
+TEST(RouterRegistry, MaximalDepthRoutesWithinItsBound) {
+  // "lookahead:4294967295" is the largest depth the grammar admits. It used
+  // to abort on the (1 + depth) * dist step bound, which wrapped in 32 bits,
+  // and a scheme's contact chains were walked for all 2^32 - 1 links. Chains
+  // now stop after n links (consistent contacts only revisit nodes past
+  // that), so it routes exactly like depth n.
+  const auto g = graph::make_cycle(64);
+  graph::DistanceMatrix oracle(g);
+  core::UniformScheme scheme(g);
+  const auto extreme = make_router("lookahead:4294967295", g, oracle);
+  const auto depth_n = make_router("lookahead:64", g, oracle);
+  for (graph::NodeId t = 1; t < 64; t += 9) {
+    const auto a = extreme->route(0, t, &scheme, Rng(t));
+    const auto b = depth_n->route(0, t, &scheme, Rng(t));
+    EXPECT_TRUE(a.reached);
+    EXPECT_EQ(a.steps, b.steps) << "t=" << t;
+    EXPECT_EQ(a.long_links_used, b.long_links_used) << "t=" << t;
+  }
+}
+
 TEST(RouterRegistry, KnownSpecsBuild) {
   const auto g = graph::make_cycle(32);
   graph::DistanceMatrix oracle(g);

@@ -71,7 +71,7 @@ TEST(WidthDifferential, RouteServiceMatchesU32MatrixAtEveryWidth) {
                                      options)
                             .route_batch(pairs, Rng(14));
       for (const DistWidth width : kWidths) {
-        const graph::TargetDistanceCache cache(g, 8, {}, width);
+        const graph::TargetDistanceCache cache(g, 8, width);
         const auto router = routing::make_router(router_spec, g, cache);
         const auto got = RouteService(g, cache, scheme.get(), *router, options)
                              .route_batch(pairs, Rng(14));
@@ -96,7 +96,7 @@ TEST(WidthDifferential, TolerateUnreachableDecodesSentinelsAtEveryWidth) {
     const auto want = RouteService(g, matrix, nullptr, *ref_router, options)
                           .route_batch(pairs, Rng(3));
     for (const DistWidth width : kWidths) {
-      const graph::TargetDistanceCache cache(g, 4, {}, width);
+      const graph::TargetDistanceCache cache(g, 4, width);
       const auto router = routing::make_router(router_spec, g, cache);
       const auto got = RouteService(g, cache, nullptr, *router, options)
                            .route_batch(pairs, Rng(3));
@@ -155,7 +155,7 @@ TEST(WidthDifferential, SpanOnlyRouterSeesOneDecodedCallPerPair) {
   const auto want = RouteService(g, matrix, scheme.get(), *ref_router)
                         .route_batch(pairs, Rng(24));
   for (const DistWidth width : kWidths) {
-    const graph::TargetDistanceCache cache(g, 8, {}, width);
+    const graph::TargetDistanceCache cache(g, 8, width);
     const auto inner = routing::make_router("greedy", g, cache);
     const SpanOnlyRouter router(*inner, matrix);
     const auto got = RouteService(g, cache, scheme.get(), router)

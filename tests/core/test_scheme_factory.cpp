@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "graph/generators.hpp"
 
 namespace nav::core {
@@ -29,10 +32,21 @@ TEST(SchemeFactory, BuildsEveryStandardSpec) {
 }
 
 TEST(SchemeFactory, KleinbergParsesAlpha) {
+  // The numeric scheme values the benches and examples use (E7's quick
+  // ball-fixed levels among them) parse to the numbers they always did.
   const auto g = graph::make_path(16);
   Rng rng(4);
-  const auto scheme = make_scheme("kleinberg:1.5", g, rng);
-  EXPECT_NE(scheme->name().find("1.50"), std::string::npos);
+  for (const auto& [spec, name] :
+       {std::pair{"kleinberg:1.0", "kleinberg(a=1.00)"},
+        std::pair{"kleinberg:1.5", "kleinberg(a=1.50)"},
+        std::pair{"kleinberg:2.0", "kleinberg(a=2.00)"},
+        std::pair{"kleinberg:2.5", "kleinberg(a=2.50)"},
+        std::pair{"ball-fixed:4", "ball-fixed-k4"},
+        std::pair{"ball-fixed:6", "ball-fixed-k6"},
+        std::pair{"ball-fixed:8", "ball-fixed-k8"},
+        std::pair{"ball-fixed:12", "ball-fixed-k12"}}) {
+    EXPECT_EQ(make_scheme(spec, g, rng)->name(), name) << spec;
+  }
 }
 
 TEST(SchemeFactory, UnknownSpecThrows) {
@@ -40,6 +54,30 @@ TEST(SchemeFactory, UnknownSpecThrows) {
   Rng rng(5);
   EXPECT_THROW(make_scheme("definitely-not-a-scheme", g, rng),
                std::invalid_argument);
+}
+
+TEST(SchemeFactory, RejectsMalformedNumbers) {
+  // Numeric fields parse strictly (runtime/parse.hpp): no non-finite or
+  // out-of-range values, no hex, no whitespace, no trailing garbage, no
+  // silent wraparound — every case is a std::invalid_argument naming the
+  // spec.
+  const auto g = graph::make_path(16);
+  Rng rng(8);
+  for (const char* spec :
+       {"kleinberg:inf", "kleinberg:nan", "kleinberg:2abc", "kleinberg: 2",
+        "kleinberg:0x10", "kleinberg:1e400", "kleinberg:", "kleinberg:2:3",
+        "ball-fixed:3x", "ball-fixed:4294967297", "ball-fixed:abc",
+        "ball-fixed:", "ball-fixed:-1", "ball-fixed: 3"}) {
+    try {
+      (void)make_scheme(spec, g, rng);
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(spec), std::string::npos)
+          << spec << ": " << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << spec << " threw a non-invalid_argument: " << e.what();
+    }
+  }
 }
 
 TEST(SchemeFactory, StandardSpecsNonEmpty) {

@@ -67,7 +67,7 @@ TEST(DistSlab, MatrixWidthsAreBitIdentical) {
   const auto g = make_grid2d(9, 7);
   const DistanceMatrix reference(g);
   for (const auto width : kWidths) {
-    const DistanceMatrix narrow(g, {}, width);
+    const DistanceMatrix narrow(g, width);
     EXPECT_EQ(narrow.width(), width);
     for (NodeId t = 0; t < g.num_nodes(); ++t) {
       const auto row = narrow.distances_to(t);
@@ -80,7 +80,7 @@ TEST(DistSlab, MatrixWidthsAreBitIdentical) {
 
 TEST(DistSlab, NarrowMatrixGuardsSlabAccess) {
   const auto g = make_cycle(16);
-  const DistanceMatrix narrow(g, {}, DistWidth::kU8);
+  const DistanceMatrix narrow(g, DistWidth::kU8);
   EXPECT_THROW((void)narrow.slab(), std::invalid_argument);
   EXPECT_EQ(narrow.packed_slab().size(),
             static_cast<std::size_t>(16) * 16);
@@ -91,14 +91,14 @@ TEST(DistSlab, NarrowMatrixGuardsSlabAccess) {
 TEST(DistSlab, MatrixSaturationThrows) {
   // A 300-path has distances up to 299 > u8's max finite 254.
   const auto g = make_path(300);
-  EXPECT_THROW((void)DistanceMatrix(g, {}, DistWidth::kU8),
+  EXPECT_THROW((void)DistanceMatrix(g, DistWidth::kU8),
                std::invalid_argument);
-  EXPECT_NO_THROW((void)DistanceMatrix(g, {}, DistWidth::kU16));
+  EXPECT_NO_THROW((void)DistanceMatrix(g, DistWidth::kU16));
 }
 
 TEST(DistSlab, MatrixRebuildChecksSaturation) {
   const auto small = make_path(64);
-  DistanceMatrix m(small, {}, DistWidth::kU8);
+  DistanceMatrix m(small, DistWidth::kU8);
   EXPECT_NO_THROW(m.rebuild_all(small));
   const NodeId targets[] = {0, 63};
   EXPECT_NO_THROW(m.rebuild_rows(small, targets));
@@ -110,7 +110,7 @@ TEST(DistSlab, CacheWidthsAreBitIdentical) {
   const auto g = make_grid2d(12, 11);
   const TargetDistanceCache reference(g, 8);
   for (const auto width : kWidths) {
-    const TargetDistanceCache narrow(g, 8, {}, width);
+    const TargetDistanceCache narrow(g, 8, width);
     EXPECT_EQ(narrow.width(), width);
     // More distinct targets than capacity: hits, misses, and evictions all
     // happen while the comparison runs (both caches recompute evicted rows
@@ -128,7 +128,7 @@ TEST(DistSlab, CachePrefetchWidthsAreBitIdentical) {
   const TargetDistanceCache reference(g, 4);
   const std::vector<NodeId> wave = {3, 97, 3, 41, 55, 41, 7};
   for (const auto width : kWidths) {
-    const TargetDistanceCache narrow(g, 4, {}, width);
+    const TargetDistanceCache narrow(g, 4, width);
     std::vector<DistVecPtr> pins, ref_pins;
     narrow.prefetch_into(wave, pins);
     reference.prefetch_into(wave, ref_pins);
@@ -145,13 +145,13 @@ TEST(DistSlab, CachePrefetchWidthsAreBitIdentical) {
 
 TEST(DistSlab, CacheSaturationThrows) {
   const auto g = make_path(300);
-  const TargetDistanceCache narrow(g, 4, {}, DistWidth::kU8);
+  const TargetDistanceCache narrow(g, 4, DistWidth::kU8);
   EXPECT_THROW((void)narrow.distances_to(0), std::invalid_argument);
   std::vector<DistVecPtr> pins;
   const std::vector<NodeId> wave = {0, 100};
   EXPECT_THROW(narrow.prefetch_into(wave, pins), std::invalid_argument);
   // u16 holds the same graph fine.
-  const TargetDistanceCache wide(g, 4, {}, DistWidth::kU16);
+  const TargetDistanceCache wide(g, 4, DistWidth::kU16);
   EXPECT_EQ((*wide.distances_to(0))[299], 299u);
 }
 
@@ -173,7 +173,7 @@ TEST(DistSlab, CacheBudgetScalesWithWidth) {
 
 TEST(DistSlab, CacheEraseAndClearWorkAtNarrowWidths) {
   const auto g = make_grid2d(8, 8);
-  TargetDistanceCache cache(g, 4, {}, DistWidth::kU8);
+  TargetDistanceCache cache(g, 4, DistWidth::kU8);
   (void)cache.distances_to(5);
   (void)cache.distances_to(9);
   EXPECT_TRUE(cache.peek(5) != nullptr);
@@ -191,7 +191,7 @@ TEST(DistSlab, PeekReadsResidentRowsInPlaceWithoutTouchingLru) {
   // peeks leave eviction order and telemetry alone.
   const auto g = make_grid2d(8, 8);
   constexpr NodeId kResident = 24;
-  TargetDistanceCache cache(g, kResident, {}, DistWidth::kU8);
+  TargetDistanceCache cache(g, kResident, DistWidth::kU8);
   for (NodeId t = 0; t < kResident; ++t) (void)cache.distances_to(t);
   const auto lru_before = cache.resident_targets();
   const std::size_t hits = cache.hits(), misses = cache.misses();
@@ -218,7 +218,7 @@ TEST(DistSlab, GreedyRoutesAreBitIdenticalAcrossWidths) {
   const DistanceMatrix reference(g);
   const routing::GreedyRouter ref_router(g, reference);
   for (const auto width : kWidths) {
-    const TargetDistanceCache cache(g, 8, {}, width);
+    const TargetDistanceCache cache(g, 8, width);
     const routing::GreedyRouter router(g, cache);
     for (std::uint64_t trial = 0; trial < 24; ++trial) {
       Rng rng(trial);

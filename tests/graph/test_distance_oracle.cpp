@@ -7,11 +7,10 @@
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "support/bfs_reference.hpp"
 
 namespace nav::graph {
 namespace {
-
-constexpr std::size_t kWorkerCounts[] = {1, 2, 3, 8};
 
 std::uint64_t fnv1a(std::span<const Dist> data) {
   std::uint64_t h = 1469598103934665603ull;
@@ -152,39 +151,45 @@ TEST(TargetCache, ConcurrentAccessConsistent) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-TEST(ParallelPolicy, PolicyResolution) {
-  EXPECT_GE(ParallelPolicy{}.resolved_workers(), 1u);
-  ParallelPolicy two;
-  two.num_workers = 2;
-  EXPECT_EQ(two.resolved_workers(), 2u);
+// The worker-count tests below run at the process's pool width; CI reruns
+// them at NAV_WORKERS=1, 3 and 8, and every width must reproduce the
+// sequential reference kernel row for row.
+
+// The slab the sequential reference kernel produces, row-major by target.
+std::vector<Dist> reference_slab(const Graph& g) {
+  std::vector<Dist> slab;
+  slab.reserve(static_cast<std::size_t>(g.num_nodes()) * g.num_nodes());
+  for (NodeId t = 0; t < g.num_nodes(); ++t) {
+    const auto row = bfs_distances_reference(g, t);
+    slab.insert(slab.end(), row.begin(), row.end());
+  }
+  return slab;
 }
 
 TEST(DistanceMatrixDeterminism, SlabHashIndependentOfWorkerCount) {
   Rng rng(0xD57);
   const Graph g = make_connected_gnp(500, 6.0 / 500.0, rng);
-  std::uint64_t reference_hash = 0;
-  for (const std::size_t workers : kWorkerCounts) {
-    ParallelPolicy policy;
-    policy.num_workers = workers;
-    const DistanceMatrix dm(g, policy);
-    const std::uint64_t h = fnv1a(dm.slab());
-    if (workers == kWorkerCounts[0]) {
-      reference_hash = h;
-    } else {
-      ASSERT_EQ(h, reference_hash) << "workers=" << workers;
-    }
+  const std::vector<Dist> expect = reference_slab(g);
+  const DistanceMatrix dm(g);
+  ASSERT_EQ(dm.slab().size(), expect.size());
+  for (NodeId t = 0; t < g.num_nodes(); ++t) {
+    ASSERT_TRUE(*dm.distances_to(t) ==
+                std::span<const Dist>(expect).subspan(
+                    static_cast<std::size_t>(t) * g.num_nodes(),
+                    g.num_nodes()))
+        << "target=" << t;
   }
+  EXPECT_EQ(fnv1a(dm.slab()), fnv1a(expect));
 }
 
 TEST(DistanceMatrixDeterminism, RepeatedBuildsAndRebuildsHashIdentical) {
   Rng rng(0xD58);
   const Graph g = make_connected_gnp(400, 5.0 / 400.0, rng);
-  ParallelPolicy policy;
-  policy.num_workers = 3;
-  const DistanceMatrix first(g, policy);
-  const std::uint64_t reference_hash = fnv1a(first.slab());
+  const std::uint64_t reference_hash = fnv1a(reference_slab(g));
+  const DistanceMatrix first(g);
+  ASSERT_EQ(fnv1a(first.slab()), reference_hash);
   for (int run = 0; run < 3; ++run) {
-    DistanceMatrix dm(g, policy);
+    DistanceMatrix dm(g);
     ASSERT_EQ(fnv1a(dm.slab()), reference_hash) << "build " << run;
     dm.rebuild_all(g);
     ASSERT_EQ(fnv1a(dm.slab()), reference_hash) << "rebuild " << run;
@@ -197,8 +202,6 @@ TEST(DistanceMatrixDeterminism, RepeatedBuildsAndRebuildsHashIdentical) {
 TEST(TargetDistanceCachePolicy, PrefetchWavesMatchScalarRowsAtEveryWidth) {
   Rng rng(0xCA9);
   const Graph g = make_connected_gnp(800, 5.0 / 800.0, rng);
-  BfsWorkspace scalar;
-  std::vector<Dist> expect(g.num_nodes());
   // Every wave shape goes through the same row farm: one miss runs inline
   // on the caller, two misses take two pool lanes, and the wide wave (with
   // duplicates) spreads over all of them.
@@ -206,34 +209,28 @@ TEST(TargetDistanceCachePolicy, PrefetchWavesMatchScalarRowsAtEveryWidth) {
       {3}, {5, 7}, {10, 20, 30, 40, 50, 60, 70, 80, 20, 10}};
   for (const DistWidth width :
        {DistWidth::kU8, DistWidth::kU16, DistWidth::kU32}) {
-    for (const std::size_t workers : kWorkerCounts) {
-      ParallelPolicy policy;
-      policy.num_workers = workers;
-      TargetDistanceCache cache(g, 16, policy, width);
-      std::vector<DistVecPtr> rows;
-      for (const auto& wave : waves) {
-        cache.prefetch_into(wave, rows);
-        ASSERT_EQ(rows.size(), wave.size());
-        for (std::size_t i = 0; i < wave.size(); ++i) {
-          scalar.distances_into_scalar(g, wave[i], expect);
-          ASSERT_TRUE(*rows[i] == std::span<const Dist>(expect))
-              << width_token(width) << " workers=" << workers
-              << " target=" << wave[i];
-        }
+    TargetDistanceCache cache(g, 16, width);
+    std::vector<DistVecPtr> rows;
+    for (const auto& wave : waves) {
+      cache.prefetch_into(wave, rows);
+      ASSERT_EQ(rows.size(), wave.size());
+      for (std::size_t i = 0; i < wave.size(); ++i) {
+        const auto expect = bfs_distances_reference(g, wave[i]);
+        ASSERT_TRUE(*rows[i] == std::span<const Dist>(expect))
+            << width_token(width) << " target=" << wave[i];
       }
-      EXPECT_EQ(cache.misses(), 11u) << width_token(width);
-      // Duplicates in the wide wave share the first occurrence's pin.
-      EXPECT_EQ(rows[8], rows[1]);
-      EXPECT_EQ(rows[9], rows[0]);
-      // An all-hit repeat serves the same rows from residency.
-      std::vector<DistVecPtr> again;
-      cache.prefetch_into(waves.back(), again);
-      for (std::size_t i = 0; i < again.size(); ++i) {
-        ASSERT_EQ(again[i], rows[i])
-            << width_token(width) << " workers=" << workers << " i=" << i;
-      }
-      EXPECT_EQ(cache.misses(), 11u) << width_token(width);
     }
+    EXPECT_EQ(cache.misses(), 11u) << width_token(width);
+    // Duplicates in the wide wave share the first occurrence's pin.
+    EXPECT_EQ(rows[8], rows[1]);
+    EXPECT_EQ(rows[9], rows[0]);
+    // An all-hit repeat serves the same rows from residency.
+    std::vector<DistVecPtr> again;
+    cache.prefetch_into(waves.back(), again);
+    for (std::size_t i = 0; i < again.size(); ++i) {
+      ASSERT_EQ(again[i], rows[i]) << width_token(width) << " i=" << i;
+    }
+    EXPECT_EQ(cache.misses(), 11u) << width_token(width);
   }
 }
 

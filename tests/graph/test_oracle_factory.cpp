@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
+#include "graph/bfs.hpp"
 #include "graph/distance_oracle.hpp"
 #include "graph/generators.hpp"
 #include "graph/landmark_oracle.hpp"
@@ -12,22 +15,29 @@ namespace nav::graph {
 namespace {
 
 TEST(OracleFactory, AutoReproducesTheLegacySizeRule) {
+  static_assert(kDenseOracleLimit == 4096);
+  // Up to the limit: a matrix.
   const auto g = make_grid2d(8, 8);
-  // Default dense_limit (4096) >= 64 nodes: a matrix.
   const auto dense = make_oracle("auto", g);
   EXPECT_NE(dynamic_cast<DistanceMatrix*>(dense.get()), nullptr);
-  // Dropping the limit below n flips the same spec to a cache.
+  // One node past it the same spec gives a cache of cache_slots entries.
+  const auto big = make_path(kDenseOracleLimit + 1);
   OracleConfig config;
-  config.dense_limit = 32;
   config.cache_slots = 5;
-  const auto sparse = make_oracle("auto", g, config);
+  const auto sparse = make_oracle("auto", big, config);
   const auto* cache = dynamic_cast<TargetDistanceCache*>(sparse.get());
   ASSERT_NE(cache, nullptr);
   EXPECT_EQ(cache->capacity(), 5u);
-  // Either backend answers identically (both exact).
+  // Either backend answers exactly.
   EXPECT_TRUE(dense->exact());
+  EXPECT_TRUE(sparse->exact());
   for (NodeId t = 0; t < g.num_nodes(); t += 13) {
-    ASSERT_TRUE(*dense->distances_to(t) == *sparse->distances_to(t));
+    const auto expect = bfs_distances(g, t);
+    ASSERT_TRUE(*dense->distances_to(t) == std::span<const Dist>(expect));
+  }
+  for (const NodeId t : {NodeId{0}, NodeId{2048}, kDenseOracleLimit}) {
+    const auto expect = bfs_distances(big, t);
+    ASSERT_TRUE(*sparse->distances_to(t) == std::span<const Dist>(expect));
   }
 }
 

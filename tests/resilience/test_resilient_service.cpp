@@ -135,8 +135,8 @@ TEST(ResilientService, FallbackChainRoutesThroughTheLandmarkTier) {
   EXPECT_EQ(report.degraded_pairs, pairs.size());
   EXPECT_EQ(report.failed_pairs, 0u);
   EXPECT_EQ(report.fallback_pairs, pairs.size());
-  // One wave, max_retries rounds of futile retry.
-  EXPECT_EQ(report.retries, options.resilience.max_retries);
+  // One wave, kMaxRetries rounds of futile retry.
+  EXPECT_EQ(report.retries, nav::api::ResilienceOptions::kMaxRetries);
   for (const auto status : report.status) {
     EXPECT_EQ(status, DegradationStatus::kDegraded);
   }

@@ -8,6 +8,7 @@
 #include "routing/greedy_router.hpp"
 #include "routing/router_factory.hpp"
 #include "runtime/stats.hpp"
+#include "support/fixed_contacts.hpp"
 
 namespace nav::routing {
 namespace {
@@ -16,8 +17,8 @@ TEST(LookaheadRouter, NoContactsEqualsShortestPath) {
   const auto g = graph::make_path(30);
   graph::DistanceMatrix oracle(g);
   LookaheadRouter router(g, oracle);
-  const std::vector<graph::NodeId> none(30, core::kNoContact);
-  const auto result = router.route(2, 27, none);
+  const core::FixedContacts none(std::vector(30, core::kNoContact));
+  const auto result = router.route(2, 27, &none, Rng(0));
   EXPECT_TRUE(result.reached);
   EXPECT_EQ(result.steps, 25u);
   EXPECT_EQ(result.long_links_used, 0u);
@@ -31,7 +32,8 @@ TEST(LookaheadRouter, UsesNeighborsContact) {
   LookaheadRouter router(g, oracle);
   std::vector<graph::NodeId> contacts(10, core::kNoContact);
   contacts[1] = 9;
-  const auto result = router.route(0, 9, contacts, true);
+  const core::FixedContacts fixed(contacts);
+  const auto result = router.route(0, 9, &fixed, Rng(0), true);
   EXPECT_EQ(result.steps, 2u);
   ASSERT_EQ(result.trace.size(), 3u);
   EXPECT_EQ(result.trace[1], 1u);
@@ -47,7 +49,8 @@ TEST(LookaheadRouter, TakesBackwardNeighborForItsContact) {
   LookaheadRouter router(g, oracle);
   std::vector<graph::NodeId> contacts(50, core::kNoContact);
   contacts[9] = 48;  // behind the source
-  const auto result = router.route(10, 49, contacts, true);
+  const core::FixedContacts fixed(contacts);
+  const auto result = router.route(10, 49, &fixed, Rng(0), true);
   // 10 -> 9 (backward), 9 -> 48 (long), 48 -> 49: 3 steps vs 39 plain.
   EXPECT_EQ(result.steps, 3u);
   EXPECT_EQ(result.trace[1], 9u);
@@ -61,8 +64,8 @@ TEST(LookaheadRouter, StepsAtMostTwiceDistance) {
   core::UniformScheme scheme(g);
   Rng rng(3);
   for (int trial = 0; trial < 30; ++trial) {
-    const auto contacts = core::sample_all_contacts(scheme, rng);
-    const auto result = router.route(0, 143, contacts);
+    const core::FixedContacts eager(core::sample_all_contacts(scheme, rng));
+    const auto result = router.route(0, 143, &eager, Rng(0));
     EXPECT_TRUE(result.reached);
     EXPECT_LE(result.steps, 2u * result.initial_distance);
   }
@@ -77,9 +80,9 @@ TEST(LookaheadRouter, BeatsPlainGreedyOnAverage) {
   Rng rng(4);
   RunningStats plain_steps, non_steps;
   for (int trial = 0; trial < 60; ++trial) {
-    const auto contacts = core::sample_all_contacts(scheme, rng);
-    plain_steps.add(plain.route_with_contacts(0, 2047, contacts).steps);
-    non_steps.add(lookahead.route(0, 2047, contacts).steps);
+    const core::FixedContacts eager(core::sample_all_contacts(scheme, rng));
+    plain_steps.add(plain.route(0, 2047, &eager, Rng(0)).steps);
+    non_steps.add(lookahead.route(0, 2047, &eager, Rng(0)).steps);
   }
   EXPECT_LT(non_steps.mean(), plain_steps.mean());
 }
@@ -88,8 +91,8 @@ TEST(LookaheadRouter, SourceEqualsTarget) {
   const auto g = graph::make_cycle(8);
   graph::DistanceMatrix oracle(g);
   LookaheadRouter router(g, oracle);
-  const std::vector<graph::NodeId> none(8, core::kNoContact);
-  EXPECT_EQ(router.route(5, 5, none).steps, 0u);
+  const core::FixedContacts none(std::vector(8, core::kNoContact));
+  EXPECT_EQ(router.route(5, 5, &none, Rng(0)).steps, 0u);
 }
 
 TEST(LookaheadRouter, TraceConsistent) {
@@ -98,8 +101,8 @@ TEST(LookaheadRouter, TraceConsistent) {
   LookaheadRouter router(g, oracle);
   core::BallScheme scheme(g);
   Rng rng(5);
-  const auto contacts = core::sample_all_contacts(scheme, rng);
-  const auto result = router.route(0, 36, contacts, true);
+  const core::FixedContacts eager(core::sample_all_contacts(scheme, rng));
+  const auto result = router.route(0, 36, &eager, Rng(0), true);
   ASSERT_EQ(result.trace.size(), result.steps + 1u);
   EXPECT_EQ(result.trace.front(), 0u);
   EXPECT_EQ(result.trace.back(), 36u);
@@ -127,10 +130,10 @@ TEST(LookaheadRouter, DeeperAwarenessIsMonotoneOrEqualPastDepth3) {
   Rng rng(0xE10);
   RunningStats steps3, steps4, steps5;
   for (int trial = 0; trial < 40; ++trial) {
-    const auto contacts = core::sample_all_contacts(scheme, rng);
-    const auto r3 = d3.route(0, 2047, contacts);
-    const auto r4 = d4.route(0, 2047, contacts);
-    const auto r5 = d5.route(0, 2047, contacts);
+    const core::FixedContacts eager(core::sample_all_contacts(scheme, rng));
+    const auto r3 = d3.route(0, 2047, &eager, Rng(0));
+    const auto r4 = d4.route(0, 2047, &eager, Rng(0));
+    const auto r5 = d5.route(0, 2047, &eager, Rng(0));
     ASSERT_TRUE(r3.reached && r4.reached && r5.reached);
     EXPECT_LE(r3.steps, 4u * r3.initial_distance);
     EXPECT_LE(r4.steps, 5u * r4.initial_distance);
@@ -180,21 +183,20 @@ TEST(MemoContacts, AccessOrderIndependent) {
 }
 
 TEST(MemoContacts, LookaheadRouteMatchesEagerEquivalent) {
-  // Routing through MemoContacts must equal routing through the fully
-  // materialised vector of the same streams.
+  // Routing the scheme (the router's own MemoContacts over the rng) must
+  // equal routing the fully materialised vector of the same streams.
   const auto g = graph::make_cycle(128);
   graph::DistanceMatrix oracle(g);
   LookaheadRouter router(g, oracle);
   core::UniformScheme scheme(g);
-  core::MemoContacts memo(scheme, Rng(13));
-  std::vector<graph::NodeId> eager(g.num_nodes());
+  std::vector<graph::NodeId> contacts(g.num_nodes());
   {
     core::MemoContacts fill(scheme, Rng(13));
-    for (graph::NodeId u = 0; u < g.num_nodes(); ++u) eager[u] = fill(u);
+    for (graph::NodeId u = 0; u < g.num_nodes(); ++u) contacts[u] = fill(u);
   }
-  const auto via_memo = router.route(
-      0, 64, [&memo](graph::NodeId u) { return memo(u); });
-  const auto via_eager = router.route(0, 64, eager);
+  const core::FixedContacts eager(contacts);
+  const auto via_memo = router.route(0, 64, &scheme, Rng(13));
+  const auto via_eager = router.route(0, 64, &eager, Rng(0));
   EXPECT_EQ(via_memo.steps, via_eager.steps);
   EXPECT_EQ(via_memo.long_links_used, via_eager.long_links_used);
 }
@@ -203,10 +205,11 @@ TEST(LookaheadRouter, RejectsBadInput) {
   const auto g = graph::make_path(5);
   graph::DistanceMatrix oracle(g);
   LookaheadRouter router(g, oracle);
-  const std::vector<graph::NodeId> none(5, core::kNoContact);
-  EXPECT_THROW((void)router.route(0, 9, none), std::invalid_argument);
-  const std::vector<graph::NodeId> short_vec(3, core::kNoContact);
-  EXPECT_THROW((void)router.route(0, 4, short_vec), std::invalid_argument);
+  const core::FixedContacts none(std::vector(5, core::kNoContact));
+  EXPECT_THROW((void)router.route(0, 9, &none, Rng(0)), std::invalid_argument);
+  const core::FixedContacts short_vec(std::vector(3, core::kNoContact));
+  EXPECT_THROW((void)router.route(0, 4, &short_vec, Rng(0)),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "graph/bfs_engine.hpp"
 #include "runtime/rng.hpp"
 
 namespace nav {
@@ -62,9 +61,6 @@ TEST(ThreadPool, DefaultThreadsFollowsNavWorkers) {
     ::setenv("NAV_WORKERS", ignored, 1);
     EXPECT_EQ(ThreadPool::default_threads(), hardware) << '"' << ignored << '"';
   }
-  // ParallelPolicy{0} resolves through the same override.
-  ::setenv("NAV_WORKERS", "3", 1);
-  EXPECT_EQ(graph::ParallelPolicy{}.resolved_workers(), 3u);
   if (saved != nullptr) {
     ::setenv("NAV_WORKERS", restore.c_str(), 1);
   } else {
