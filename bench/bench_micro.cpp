@@ -10,6 +10,7 @@
 // added/removed-series reporting and the list golden pins byte-for-byte).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -538,6 +539,84 @@ void run_packed_routing_cells(bench::Harness& h) {
   }
 }
 
+// ---- M6: parallel_for fan-out ----------------------------------------------
+// Hand-timed like M1, on the global pool. us_per_call (loose) is the wall
+// time of one parallel_for at 4 / 8 / 16 indices with an empty, a ~50 us and
+// a ~1 ms body (a spin on the steady clock, so the body's length does not
+// depend on memory bandwidth): the empty body is the dispatch cost alone.
+// The wave cell is the oracle layer RouteService's prefetch pays: p50/p90
+// wall time (loose) of a 4-miss TargetDistanceCache::prefetch_into wave of
+// u8 rows on gnp8 2^16, every wave on 4 fresh targets.
+void run_fan_out_cells(bench::Harness& h) {
+  using graph::NodeId;
+  const double budget_us = h.quick() ? 2e5 : 2e6;  // body work per cell
+  for (const std::size_t indices : {4, 8, 16}) {
+    for (const double body_us : {0.0, 50.0, 1000.0}) {
+      const auto body = [body_us](std::size_t) {
+        const nav::Timer spin;
+        while (spin.seconds() * 1e6 < body_us) {
+        }
+      };
+      const std::size_t calls =
+          body_us == 0.0
+              ? (h.quick() ? 2000 : 20000)
+              : std::clamp<std::size_t>(
+                    static_cast<std::size_t>(
+                        budget_us / (body_us * static_cast<double>(indices))),
+                    8, 5000);
+      parallel_for(0, indices, body);  // warm: pool threads awake once
+      nav::Timer timer;
+      for (std::size_t c = 0; c < calls; ++c) parallel_for(0, indices, body);
+      const double us_per_call =
+          timer.seconds() * 1e6 / static_cast<double>(calls);
+      const std::string body_token = body_us == 0.0    ? "empty"
+                                     : body_us < 100.0 ? "50us"
+                                                       : "1ms";
+      h.add_cell({{"kernel", std::string("parallel_for")},
+                  {"body", body_token},
+                  {"indices", static_cast<double>(indices)},
+                  {"us_per_call", us_per_call}});
+      std::printf("  parallel_for %2zu indices  body %-5s %10.1f us/call\n",
+                  indices, body_token.c_str(), us_per_call);
+    }
+  }
+
+  constexpr unsigned kExponent = 16;
+  constexpr std::size_t kMisses = 4;
+  const std::size_t waves = h.quick() ? 64 : 256;
+  const auto n = NodeId{1} << kExponent;
+  Rng rng(h.seed(0xB6F5));
+  const auto g =
+      graph::make_connected_gnp(n, 8.0 / static_cast<double>(n), rng);
+  const graph::TargetDistanceCache cache(g, kMisses, graph::DistWidth::kU8);
+  std::vector<NodeId> wave(kMisses);
+  std::vector<graph::DistVecPtr> pinned;
+  std::vector<double> wave_ms;
+  NodeId next = 0;
+  for (std::size_t w = 0; w < waves + 4; ++w) {  // 4 warm-up waves
+    for (NodeId& t : wave) {
+      t = static_cast<NodeId>((next++ * 2654435761u) % g.num_nodes());
+    }
+    const nav::Timer timer;
+    cache.prefetch_into(wave, pinned);
+    if (w >= 4) wave_ms.push_back(timer.millis());
+    pinned.clear();
+  }
+  std::sort(wave_ms.begin(), wave_ms.end());
+  const double p50 = wave_ms[wave_ms.size() / 2];
+  const double p90 = wave_ms[wave_ms.size() * 9 / 10];
+  h.add_cell({{"family", std::string("gnp8")},
+              {"kernel", std::string("prefetch_wave")},
+              {"width", std::string("u8")},
+              {"n", static_cast<double>(g.num_nodes())},
+              {"targets", static_cast<double>(kMisses)},
+              {"wave_ms_p50", p50},
+              {"wave_ms_p90", p90}});
+  std::printf("  gnp8    n=2^%-2u %zu-miss prefetch wave  p50 %.3f ms  "
+              "p90 %.3f ms  (pool width %zu)\n",
+              kExponent, kMisses, p50, p90, global_pool().thread_count());
+}
+
 /// ConsoleReporter plus trajectory capture: every per-iteration run becomes
 /// one harness cell keyed by benchmark name; timings and rates are loose
 /// metrics by construction.
@@ -597,6 +676,9 @@ int main(int argc, char** argv) {
   if (!list_only &&
       h.section("M5: greedy routing over packed rows (family x width)")) {
     run_packed_routing_cells(h);
+  }
+  if (!list_only && h.section("M6: parallel_for fan-out (indices x body)")) {
+    run_fan_out_cells(h);
   }
   // The google-benchmark cells below are recorded section-less: their series
   // keys ({benchmark: BM_*}) predate sections and stay baseline-aligned.

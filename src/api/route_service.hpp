@@ -18,9 +18,10 @@
 // Determinism: pair i of route_batch draws from rng.child(i) whatever shard
 // it lands in, and routes are pure functions of (s, t, scheme, rng state),
 // so results are bit-identical to sequential routing at any pool width.
-// Batch execution waits on pool idleness — do not call route_batch /
-// route_jobs / estimate_diameter from inside a pool task (submit() is fine:
-// its batches run on the service's own thread).
+// Both fan-outs run on the calling thread as well as the pool and wait only
+// for their own indices, so route_batch / route_jobs / estimate_diameter
+// may be called from any thread, a pool task included; submit()'s batches
+// run on the service's own thread.
 //
 // "Always-on": submit() enqueues a batch on a lazily started service thread
 // and returns a std::future; batches execute FIFO and the destructor drains

@@ -23,7 +23,8 @@ const char* const kLooseMetrics[] = {
     "real_time_ns",    "cpu_time_ns",
     "items_per_second", "bytes_per_second",
     "nodes_per_sec",   "speedup_vs_scalar",
-    "ns_per_hop",
+    "ns_per_hop",      "us_per_call",
+    "wave_ms_p50",     "wave_ms_p90",
 };
 
 /// Numeric fields that identify a cell (grid coordinates) rather than
@@ -37,6 +38,8 @@ const char* const kNumericKeyFields[] = {
     // oracle-backend grid axes (bench_micro M4, sweep_cli --oracle; the
     // "oracle" spec itself is a string field, hence a key already):
     "landmarks",
+    // fan-out width (bench_micro M6):
+    "indices",
 };
 
 bool contains(const char* const* first, const char* const* last,

@@ -15,6 +15,10 @@ namespace {
 
 using Op = EdgeMutation::Op;
 
+// Largest churn rate a spec may ask for: a step reserves and draws that many
+// events, so the rate must convert to std::size_t and fit in memory.
+constexpr double kMaxChurnRate = 1e6;
+
 /// "churn:<rate>" — steady-state edge turnover: per step, <rate> events,
 /// each a fair coin between remove-uniform-edge and add-uniform-absent-pair.
 class ChurnStream final : public MutationStream {
@@ -186,7 +190,8 @@ MutationStreamPtr make_mutation_stream(const std::string& spec) {
   const std::string& kind = tokens[0];
   if (kind == "churn" && tokens.size() == 2) {
     const double rate = parse_spec_number<double>(tokens[1], spec);
-    NAV_REQUIRE(rate >= 0.0, "churn rate must be >= 0");
+    NAV_REQUIRE(rate >= 0.0 && rate <= kMaxChurnRate,
+                spec + ": churn rate must be in [0, 1e6]");
     return std::make_unique<ChurnStream>(rate, spec);
   }
   if (kind == "fail" && tokens.size() == 2) {
@@ -210,8 +215,9 @@ MutationStreamPtr make_mutation_stream(const std::string& spec) {
 
 const std::vector<MutationInfo>& mutation_catalog() {
   static const std::vector<MutationInfo> catalog = {
-      {"churn:<rate>", "per step, <rate> events: coin flip between removing "
-                       "a uniform edge and adding a uniform absent pair"},
+      {"churn:<rate>", "per step, <rate> events (at most 1e6): coin flip "
+                       "between removing a uniform edge and adding a uniform "
+                       "absent pair"},
       {"fail:<fraction>", "one-shot removal of floor(fraction * m) distinct "
                           "uniform edges"},
       {"targeted:<k>", "one-shot failure of the k highest-degree nodes "

@@ -11,8 +11,9 @@
 //   "churn:<rate>"    per step, <rate> random edge events: each a coin flip
 //                     between removing a uniform existing edge and adding a
 //                     uniform absent pair. A fractional <rate> contributes
-//                     its remainder as a Bernoulli extra event. The
-//                     steady-state perturbation of Achlioptas–Siminelakis.
+//                     its remainder as a Bernoulli extra event; <rate> is
+//                     at most 1e6. The steady-state perturbation of
+//                     Achlioptas–Siminelakis.
 //   "fail:<fraction>" one-shot: the first step removes floor(fraction * m)
 //                     distinct uniform edges; later steps are empty. The
 //                     robustness-surface axis of bench_e13_dynamic.

@@ -55,8 +55,10 @@
 //
 // Workspaces are pooled per worker thread: call local_bfs_workspace() (built
 // on runtime/scratch_pool.hpp) from any thread, including nav::parallel_for
-// bodies — each worker reuses its private instance with no synchronisation.
-// A workspace is NOT re-entrant: one traversal at a time per instance.
+// bodies — each thread reuses its private instance with no synchronisation.
+// A workspace is NOT re-entrant: one traversal at a time per instance. A
+// parallel_for body also runs on the calling thread, so never hold the
+// reference across a fan-out whose body uses a workspace.
 #pragma once
 
 #include <array>
@@ -221,7 +223,9 @@ class BfsWorkspace {
 
 /// The calling thread's pooled workspace (one per worker thread, via
 /// runtime/scratch_pool.hpp). Safe from parallel_for bodies; never hold the
-/// reference across a point where the same thread may re-enter the engine.
+/// reference across a point where the same thread may re-enter the engine,
+/// such as a parallel_for whose body uses a workspace (bodies run on the
+/// caller too).
 [[nodiscard]] BfsWorkspace& local_bfs_workspace();
 
 }  // namespace nav::graph

@@ -205,9 +205,8 @@ class TargetDistanceCache final : public DistanceOracle {
   [[nodiscard]] DistVecPtr distances_to(NodeId target) const override;
 
   /// Batched miss handling: the wave's distinct misses are farmed as whole
-  /// rows, one scalar sweep per lane, across the global thread pool (a
-  /// single miss runs inline on the caller). Callers must therefore not
-  /// invoke this from inside a pool task. Resident targets
+  /// rows, one scalar sweep per lane, across the caller and the global
+  /// thread pool (a single miss runs inline on the caller). Resident targets
   /// are bumped, not recomputed, and a warm all-hit wave performs ZERO heap
   /// allocations (dedup runs on thread-pooled scratch, pins are refcount
   /// copies). Returned pins outlive eviction, so a batch

@@ -8,8 +8,10 @@
 //   * thread_scratch<T>() — the per-worker-thread singleton. Each OS thread
 //     (pool workers included) lazily constructs one T and keeps it until
 //     thread exit. This is the production path for BfsWorkspace: calls from
-//     nav::parallel_for bodies hit their worker's private instance with zero
-//     synchronisation.
+//     nav::parallel_for bodies hit their thread's private instance with zero
+//     synchronisation. Bodies run on the calling thread as well as on pool
+//     workers, so never hold a thread_scratch<T>() reference across a
+//     parallel_for whose body uses the same T.
 //
 //   * ScratchPool<T> — an explicit checkout pool for code that must not key
 //     scratch on thread identity (objects handed across service threads, or

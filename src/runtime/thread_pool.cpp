@@ -5,6 +5,7 @@
 #include <charconv>
 #include <cstdlib>
 #include <cstring>
+#include <latch>
 #include <memory>
 
 #include "runtime/assert.hpp"
@@ -29,6 +30,10 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::submit(std::function<void()> task) {
   NAV_ASSERT(task != nullptr);
+  if (workers_.empty()) {
+    task();
+    return;
+  }
   {
     std::lock_guard lock(mutex_);
     queue_.push_back(std::move(task));
@@ -36,28 +41,36 @@ void ThreadPool::submit(std::function<void()> task) {
   cv_task_.notify_one();
 }
 
-void ThreadPool::wait_idle() {
-  if (workers_.empty()) {
-    // Inline drain: repeatedly pop and run on the calling thread.
-    while (true) {
-      std::function<void()> task;
-      {
-        std::lock_guard lock(mutex_);
-        if (queue_.empty()) return;
-        task = std::move(queue_.front());
-        queue_.pop_front();
-      }
-      task();
-    }
-  }
-  std::unique_lock lock(mutex_);
-  cv_idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
 namespace {
 
 // Largest worker count NAV_WORKERS may force.
 constexpr std::size_t kMaxWorkersOverride = 1024;
+
+// One parallel_for call's state, co-owned by its pool tasks: a task that
+// starts after the caller returned finds the counter used up, not `body`.
+struct FanOut {
+  FanOut(std::size_t begin, std::size_t last,
+         const std::function<void(std::size_t)>& fn)
+      : next(begin), end(last), body(&fn),
+        pending(static_cast<std::ptrdiff_t>(last - begin)) {}
+  std::atomic<std::size_t> next;
+  const std::size_t end;
+  // Dereferenced only for a claimed index, which the caller still waits on.
+  const std::function<void(std::size_t)>* const body;
+  std::latch pending;  // counts down once per completed index
+};
+
+// Runs claimed indices until the counter is used up, then counts them off
+// the latch. noexcept: a throwing body terminates on any thread, caller too.
+void run_claims(FanOut& fan) noexcept {
+  std::ptrdiff_t ran = 0;
+  for (std::size_t i = fan.next.fetch_add(1, std::memory_order_relaxed);
+       i < fan.end; i = fan.next.fetch_add(1, std::memory_order_relaxed)) {
+    (*fan.body)(i);
+    ++ran;
+  }
+  if (ran > 0) fan.pending.count_down(ran);
+}
 
 }  // namespace
 
@@ -84,14 +97,8 @@ void ThreadPool::worker_loop() {
       if (stop_ && queue_.empty()) return;
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++in_flight_;
     }
     task();
-    {
-      std::lock_guard lock(mutex_);
-      --in_flight_;
-    }
-    cv_idle_.notify_all();
   }
 }
 
@@ -104,19 +111,17 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
     for (std::size_t i = begin; i < end; ++i) body(i);
     return;
   }
-  // Shared claim counter: tasks race to fetch the next index, so a long
-  // iteration occupies one worker while the rest drain the remainder.
-  auto next = std::make_shared<std::atomic<std::size_t>>(begin);
-  const std::size_t tasks = std::min(total, workers);
+  // The caller claims too, so the first index starts with no wake-up, then
+  // waits only for the claimed indices. A narrow loop submits a task per
+  // index (the first workers to wake take them); a wide one workers - 1, as
+  // one busy thread more than the pool width only lengthens the tail.
+  const auto fan = std::make_shared<FanOut>(begin, end, body);
+  const std::size_t tasks = total <= workers ? total : workers - 1;
   for (std::size_t w = 0; w < tasks; ++w) {
-    pool.submit([next, end, &body] {
-      for (std::size_t i = next->fetch_add(1, std::memory_order_relaxed);
-           i < end; i = next->fetch_add(1, std::memory_order_relaxed)) {
-        body(i);
-      }
-    });
+    pool.submit([fan] { run_claims(*fan); });
   }
-  pool.wait_idle();
+  run_claims(*fan);
+  fan->pending.wait();
 }
 
 ThreadPool& global_pool() {

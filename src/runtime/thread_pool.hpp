@@ -3,8 +3,8 @@
 // The simulation workloads are embarrassingly parallel (independent routing
 // trials, independent BFS sources). We only need:
 //   * ThreadPool::submit(fn)                — fire-and-forget task;
-//   * parallel_for(pool, begin, end, body)  — index loop in which one task
-//                                             per worker claims the next
+//   * parallel_for(pool, begin, end, body)  — index loop in which the caller
+//                                             and pool tasks claim the next
 //                                             index from a shared counter;
 //                                             blocks until every index ran.
 //
@@ -25,51 +25,46 @@ namespace nav {
 
 class ThreadPool {
  public:
-  /// Creates `threads` workers. 0 is allowed: tasks then run inline inside
-  /// wait_idle()/parallel_for, which keeps single-threaded debugging trivial.
+  /// Creates `threads` workers. 0 is allowed: submit() then runs each task
+  /// inline, which keeps single-threaded debugging trivial.
   explicit ThreadPool(std::size_t threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task. Never blocks (unbounded queue).
+  /// Enqueues a task. Never blocks (unbounded queue); with zero workers the
+  /// task runs on the calling thread before submit() returns.
   void submit(std::function<void()> task);
-
-  /// Blocks until the queue is empty and all workers are idle.
-  /// With zero workers, drains the queue on the calling thread.
-  void wait_idle();
 
   [[nodiscard]] std::size_t thread_count() const noexcept { return workers_.size(); }
 
   /// A sensible default size for this machine (hardware_concurrency, >= 1).
   /// The NAV_WORKERS environment variable overrides it with a whole number
-  /// in [1, 1024], so the global pool (and with it every parallel_for
-  /// fan-out) runs at a forced worker count; any other value is ignored.
-  /// global_pool() reads it once, at first use.
+  /// in [1, 1024]; any other value is ignored. A parallel_for on the global
+  /// pool then runs at most that many bodies at once, on the caller and the
+  /// workers. global_pool() reads it once, at first use.
   [[nodiscard]] static std::size_t default_threads() noexcept;
 
  private:
   void worker_loop();
 
   std::mutex mutex_;
-  std::condition_variable cv_task_;   // signalled when a task is available
-  std::condition_variable cv_idle_;   // signalled when a task completes
+  std::condition_variable cv_task_;  // signalled when a task is available
   std::deque<std::function<void()>> queue_;
-  std::size_t in_flight_ = 0;
   bool stop_ = false;
   std::vector<std::thread> workers_;
 };
 
-/// Runs body(i) for every i in [begin, end) and blocks until complete. One
-/// task per pool worker claims the next unclaimed index from a shared atomic
-/// counter, so a long iteration (e.g. a RouteService target shard holding
-/// most of a batch's pairs) occupies one worker while the rest drain the
-/// remainder. A single worker or a single index runs inline on the caller.
-/// Exceptions in body() terminate the program (tasks are noexcept-by-policy;
-/// simulation bodies must not throw). Must not be called from inside a pool
-/// task: it waits on pool idleness, which a task can never observe for its
-/// own pool.
+/// Runs body(i) for every i in [begin, end) and blocks until complete. The
+/// caller and up to `workers` pool tasks claim the next index from a shared
+/// counter, so a long iteration (e.g. a skewed RouteService target shard)
+/// occupies one thread while the rest drain the remainder; at most `workers`
+/// bodies run at once. The caller waits on a per-call latch of completed
+/// indices, not on pool idleness, so nested and concurrent calls are fine.
+/// A single worker or index runs inline. Bodies may run on the caller: never
+/// hold a thread_scratch<T> reference across the call when the body uses the
+/// same T. A throwing body terminates the program.
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body);
 

@@ -226,7 +226,8 @@ TEST(ZeroAlloc, WarmPrefetchWaveAllocatesNothing) {
 
 TEST(ZeroAlloc, ParallelMissWavesRecycleArenaRows) {
   // Miss waves farm their rows across the pool: a 1-miss wave runs inline on
-  // the caller, a 2-miss wave on two pool lanes (one at NAV_WORKERS=1).
+  // the caller, a 2-miss wave on the caller and the pool lanes (inline at
+  // NAV_WORKERS=1).
   // Every row must match the sequential reference kernel, and every row must
   // come from a recycled arena slot, never a fresh heap block. Bookkeeping
   // per wave stays O(1) (LRU and map nodes, slot control blocks, the
@@ -238,18 +239,21 @@ TEST(ZeroAlloc, ParallelMissWavesRecycleArenaRows) {
   TargetDistanceCache cache(g, 2);
   std::vector<DistVecPtr> pinned;
   // Warm every pool thread's BFS workspace (its first sweep grows the queue
-  // and bitmaps): the latch holds each task until all have started, so each
-  // pool thread runs exactly one.
+  // and bitmaps): the first latch holds each task until all have started,
+  // so each pool thread runs exactly one; the second waits for their sweeps.
   auto& pool = nav::global_pool();
-  std::latch all_started(static_cast<std::ptrdiff_t>(pool.thread_count()));
+  const auto lanes = static_cast<std::ptrdiff_t>(pool.thread_count());
+  std::latch all_started(lanes);
+  std::latch all_warm(lanes);
   for (std::size_t i = 0; i < pool.thread_count(); ++i) {
     pool.submit([&] {
       all_started.arrive_and_wait();
       std::vector<Dist> row(g.num_nodes());
       local_bfs_workspace().distances_into(g, 0, row);
+      all_warm.count_down();
     });
   }
-  pool.wait_idle();
+  all_warm.wait();
   for (const std::size_t misses : {std::size_t{1}, std::size_t{2}}) {
     std::vector<NodeId> wave(misses);
     NodeId next = 0;

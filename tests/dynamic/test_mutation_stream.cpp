@@ -50,8 +50,8 @@ TEST(MutationRegistry, CatalogListsEverySpecFamily) {
 TEST(MutationRegistry, RejectsUnknownAndMalformedSpecs) {
   // "none" is the driver-side sentinel for "no stream", never a stream.
   for (const auto* bad : {"none", "melt", "churn", "churn:x", "churn:-1",
-                          "churn:inf", "fail", "fail:x", "targeted",
-                          "targeted:x", ""}) {
+                          "churn:inf", "churn:1e300", "churn:1e19", "fail",
+                          "fail:x", "targeted", "targeted:x", ""}) {
     EXPECT_THROW((void)make_mutation_stream(bad), std::invalid_argument)
         << bad;
   }

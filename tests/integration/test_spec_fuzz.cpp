@@ -6,9 +6,9 @@
 // type, a wrapped-around number, an abort or a hang. This suite mutates a
 // corpus of valid specs per grammar (token swaps, deletions, duplications,
 // truncations, character edits) with a fixed seed and a fixed budget, builds
-// each mutant over a 64-node graph, and exercises the result once (mutation
-// streams are only built: a step's cost grows with the spec's rate). Inputs
-// this suite once found go to the grammar's named test.
+// each mutant over a 64-node graph, and exercises the result once (a
+// mutation stream takes one step, which the churn rate's bound keeps
+// cheap). Inputs this suite once found go to the grammar's named test.
 //
 // "trace:<path>" specs are left out: they open files, which is not parsing.
 #include <gtest/gtest.h>
@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/scheme_factory.hpp"
+#include "dynamic/dynamic_graph.hpp"
 #include "dynamic/mutation_stream.hpp"
 #include "graph/distance_oracle.hpp"
 #include "graph/generators.hpp"
@@ -165,9 +166,11 @@ TEST(SpecFuzz, EveryGrammarFailsOnlyWithInvalidArgument) {
          (void)workload->batch(4, rng);
        });
 
+  const dynamic::DynamicGraph dyn(g);
   fuzz(4, "mutation", {"churn:2", "churn:0.5", "fail:0.1", "targeted:2"},
        [&](const std::string& spec) {
-         (void)dynamic::make_mutation_stream(spec);
+         Rng rng(6);
+         (void)dynamic::make_mutation_stream(spec)->step(dyn, rng);
        });
 
   fuzz(5, "schedule", {"poisson:100", "burst:4:0.01", "burst:1:0"},
