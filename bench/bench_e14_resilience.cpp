@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
           options.resilience.fallback_oracle = landmark.get();
           options.resilience.fallback_router = landmark_router.get();
         } else {
-          options.resilience.tolerate_faults = true;
+          options.tolerate_unreachable = true;
         }
         const api::RouteService service(g, *oracle, scheme.get(), *router,
                                         options);
@@ -203,9 +203,6 @@ int main(int argc, char** argv) {
       api::RouteServiceOptions options;
       options.virtual_pair_cost_seconds = pair_cost;
       options.admission = api::AdmissionPolicy::adaptive(regime.slo_seconds);
-      options.admission.adaptive_start_pairs = 64;
-      options.admission.adaptive_min_pairs = 16;
-      options.admission.adaptive_increase_pairs = 16;
       api::RouteService service(g, *oracle, scheme.get(), *router, options);
       const auto demand =
           workload::make_workload("uniform", g, Rng(h.seed(0xE14B)));
@@ -227,9 +224,9 @@ int main(int argc, char** argv) {
       table.add_row({regime.name, Table::num(regime.slo_seconds, 2),
                      Table::integer(report.pairs_admitted),
                      Table::integer(report.pairs_rejected),
-                     Table::integer(report.slo_breaches),
+                     Table::integer(report.queue.slo_breaches),
                      report.p99_under_slo ? "yes" : "no",
-                     Table::integer(report.adaptive_window_pairs),
+                     Table::integer(report.queue.adaptive_window_pairs),
                      Table::num(report.sojourn_v_ms.p50, 3),
                      Table::num(report.sojourn_v_ms.p99, 3)});
       h.add_cell({{"experiment", std::string("e14_resilience")},
@@ -243,11 +240,12 @@ int main(int argc, char** argv) {
                   {"pairs_rejected",
                    static_cast<std::uint64_t>(report.pairs_rejected)},
                   {"slo_breaches",
-                   static_cast<std::uint64_t>(report.slo_breaches)},
+                   static_cast<std::uint64_t>(report.queue.slo_breaches)},
                   {"p99_under_slo",
                    static_cast<std::uint64_t>(report.p99_under_slo ? 1 : 0)},
                   {"adaptive_window_pairs",
-                   static_cast<std::uint64_t>(report.adaptive_window_pairs)},
+                   static_cast<std::uint64_t>(
+                       report.queue.adaptive_window_pairs)},
                   {"sojourn_v_ms_p50", report.sojourn_v_ms.p50},
                   {"sojourn_v_ms_p99", report.sojourn_v_ms.p99},
                   {"hops_p50", report.hops.p50},

@@ -205,11 +205,11 @@ int main(int argc, char** argv) try {
   // Built over the SERVING oracle: a stall fault makes it inexact, and the
   // router factory then configures the greedy descent for bound-only rows.
   const auto router = routing::make_router("greedy", g, serving);
-  // Failures may disconnect demand pairs; report them instead of aborting.
-  options.tolerate_unreachable = mutating;
+  // Failures may disconnect demand pairs, and faults may leave a pair with
+  // no usable row; report them instead of aborting.
+  options.tolerate_unreachable = mutating || faulted;
   // Degraded-mode chain for faulted runs: exact-path retries first, then a
-  // landmark fallback (approximate but fault-free), and never an uncaught
-  // fault — pairs whose row survives nothing are reported kFailed.
+  // landmark fallback (approximate but fault-free).
   std::unique_ptr<graph::DistanceOracle> fallback_oracle;
   std::unique_ptr<routing::Router> fallback_router;
   if (faulted) {
@@ -217,7 +217,6 @@ int main(int argc, char** argv) try {
     fallback_router = routing::make_router("greedy", g, *fallback_oracle);
     options.resilience.fallback_oracle = fallback_oracle.get();
     options.resilience.fallback_router = fallback_router.get();
-    options.resilience.tolerate_faults = true;
   }
   // Shed and adaptive run in virtual time here: 50us of virtual service per
   // pair makes every drop decision a pure function of the arrival schedule.
@@ -293,13 +292,12 @@ int main(int argc, char** argv) try {
               << "failures, " << report.queue.retries << " retries, "
               << report.queue.fallback_pairs << " fallback pairs, "
               << report.queue.degraded_pairs << " degraded, "
-              << report.queue.failed_pairs << " failed, "
-              << report.queue.deadline_breaches << " deadline breaches\n";
+              << report.queue.failed_pairs << " failed\n";
   }
   if (report.adaptive) {
-    std::cout << "adaptive: window " << report.adaptive_window_pairs
+    std::cout << "adaptive: window " << report.queue.adaptive_window_pairs
               << " pairs, " << report.pairs_rejected << " pairs rejected, "
-              << report.slo_breaches << " slo breaches, sojourn(v) p99 "
+              << report.queue.slo_breaches << " slo breaches, sojourn(v) p99 "
               << Table::num(report.sojourn_v_ms.p99, 2) << " ms, slo "
               << (report.p99_under_slo ? "met" : "missed") << "\n";
   }

@@ -55,7 +55,7 @@ MASKED_KEYS = {"seconds"}
 RESILIENCE_LINE = re.compile(
     r"^resilience: (?P<injected>\d+) injected failures, (?P<retries>\d+) "
     r"retries, (?P<fallback>\d+) fallback pairs, (?P<degraded>\d+) degraded, "
-    r"(?P<failed>\d+) failed, (?P<breaches>\d+) deadline breaches$"
+    r"(?P<failed>\d+) failed$"
 )
 ADMISSION_LINE = re.compile(r"^admission: (?P<admitted>\d+) admitted, ")
 

@@ -1,6 +1,7 @@
 #include "api/route_service.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <unordered_map>
@@ -15,14 +16,6 @@ namespace nav::api {
 
 namespace {
 
-/// Per-wave row provenance (see ResilienceOptions): how each pinned slot's
-/// distance vector was obtained.
-enum class RowSource : std::uint8_t {
-  kPrimary,   ///< the service's own oracle (possibly after retries)
-  kFallback,  ///< the degraded fallback oracle
-  kNone       ///< no usable row — retries exhausted, no fallback, tolerated
-};
-
 /// Adaptive admission's multiplicative decrease: an SLO breach halves the
 /// admitted-work window.
 constexpr double kAdaptiveDecrease = 0.5;
@@ -35,7 +28,159 @@ double steady_seconds() {
       .count();
 }
 
+/// QueueStats rows, in kStatRows order (the index into RouteService's
+/// stats_ handles).
+enum Stat : std::uint8_t {
+  kQueuedBatches, kQueuedPairs, kPeakQueuedPairs, kSubmittedBatches,
+  kSubmittedPairs, kExecutedBatches, kShedBatches, kShedPairs,
+  kRejectedBatches, kRejectedPairs, kBlockedSubmits, kRetries,
+  kFallbackPairs, kDegradedPairs, kFailedPairs, kSloBreaches,
+  kAdaptiveWindowPairs, kStatCount
+};
+
+/// When a QueueStats row's metric registers: at construction, at
+/// construction under kAdaptive only, or on the first degradation event —
+/// so a fault-free, non-adaptive service scrapes only the queue rows.
+enum StatTier : std::uint8_t { kQueueTier, kAdaptiveTier, kResilienceTier };
+
+/// One QueueStats field and the registry metric it views.
+struct StatRow {
+  const char* metric;
+  std::size_t QueueStats::*field;
+  bool gauge;  // a live value: since() keeps it, registers as a gauge
+  StatTier tier;
+};
+
+/// The one QueueStats table: queue_stats() reads it, QueueStats::since()
+/// differences it, and register_stats() registers it tier by tier, in this
+/// order.
+constexpr std::array<StatRow, kStatCount> kStatRows = {{
+    {"route_service.queued_batches", &QueueStats::queued_batches, true,
+     kQueueTier},
+    {"route_service.queued_pairs", &QueueStats::queued_pairs, true,
+     kQueueTier},
+    {"route_service.peak_queued_pairs", &QueueStats::peak_queued_pairs, true,
+     kQueueTier},
+    {"route_service.submitted_batches", &QueueStats::submitted_batches, false,
+     kQueueTier},
+    {"route_service.submitted_pairs", &QueueStats::submitted_pairs, false,
+     kQueueTier},
+    {"route_service.executed_batches", &QueueStats::executed_batches, false,
+     kQueueTier},
+    {"route_service.shed_batches", &QueueStats::shed_batches, false,
+     kQueueTier},
+    {"route_service.shed_pairs", &QueueStats::shed_pairs, false, kQueueTier},
+    {"route_service.rejected_batches", &QueueStats::rejected_batches, false,
+     kAdaptiveTier},
+    {"route_service.rejected_pairs", &QueueStats::rejected_pairs, false,
+     kAdaptiveTier},
+    {"route_service.blocked_submits", &QueueStats::blocked_submits, false,
+     kQueueTier},
+    {"resilience.retries", &QueueStats::retries, false, kResilienceTier},
+    {"resilience.fallback_routes", &QueueStats::fallback_pairs, false,
+     kResilienceTier},
+    {"resilience.degraded_pairs", &QueueStats::degraded_pairs, false,
+     kResilienceTier},
+    {"resilience.failed_pairs", &QueueStats::failed_pairs, false,
+     kResilienceTier},
+    {"route_service.slo_breaches", &QueueStats::slo_breaches, false,
+     kAdaptiveTier},
+    {"route_service.adaptive_window_pairs", &QueueStats::adaptive_window_pairs,
+     true, kAdaptiveTier},
+}};
+
 }  // namespace
+
+std::optional<ShedError::Reason> AdmissionPolicy::verdict(
+    double waited_seconds, std::size_t pairs, double pair_cost_seconds) {
+  if (kind == Kind::kShed && waited_seconds > deadline_seconds) {
+    return ShedError::Reason::kDeadline;
+  }
+  if (kind != Kind::kAdaptive) return std::nullopt;
+  if (window_pairs_ == 0) {
+    window_pairs_ = kAdaptiveStartPairs;
+    window_.set(static_cast<std::int64_t>(window_pairs_));
+  }
+  // Reject iff the server is already behind AND admitting this batch would
+  // push the backlog past the window. An idle server always admits (no
+  // single-batch livelock, mirroring Bounded).
+  const double backlog_pairs = waited_seconds / pair_cost_seconds;
+  if (backlog_pairs > 0.0 && backlog_pairs + static_cast<double>(pairs) >
+                                 static_cast<double>(window_pairs_)) {
+    return ShedError::Reason::kRejected;
+  }
+  return std::nullopt;
+}
+
+void AdmissionPolicy::served(double sojourn_seconds) {
+  if (kind != Kind::kAdaptive) return;
+  if (sojourn_seconds > slo_seconds) {
+    // Multiplicative decrease, floored: stay serving even when every batch
+    // breaches.
+    slo_breaches_.inc();
+    window_pairs_ = std::max(
+        kAdaptiveMinPairs,
+        static_cast<std::size_t>(static_cast<double>(window_pairs_) *
+                                 kAdaptiveDecrease));
+  } else {
+    window_pairs_ += kAdaptiveIncreasePairs;
+  }
+  window_.set(static_cast<std::int64_t>(window_pairs_));
+}
+
+QueueStats QueueStats::since(const QueueStats& before) const {
+  QueueStats delta = *this;
+  for (const StatRow& row : kStatRows) {
+    if (!row.gauge) delta.*row.field -= before.*row.field;
+  }
+  return delta;
+}
+
+void fetch_wave(const graph::DistanceOracle& oracle,
+                std::span<const graph::NodeId> targets,
+                const graph::DistanceOracle* fallback, bool tolerate,
+                resilience::VirtualClock& clock, WaveRows& out) {
+  out.source.assign(targets.size(), RowSource::kPrimary);
+  out.retries = 0;
+  try {
+    oracle.prefetch_into(targets, out.rows);
+  } catch (const resilience::TransientOracleError&) {
+    // Partial success: a well-behaved thrower (FaultyOracle) has filled
+    // every non-failing slot already; the retry rounds finish the holes.
+  }
+  out.rows.resize(targets.size());  // nulls at any holes
+  // The still-missing slots, retried as a shrinking subset with exponential
+  // VIRTUAL backoff: deterministic, never a real sleep.
+  std::vector<std::size_t> pending;
+  for (std::size_t k = 0; k < targets.size(); ++k) {
+    if (!out.rows[k]) pending.push_back(k);
+  }
+  double backoff = ResilienceOptions::kBackoffBaseSeconds;
+  for (; !pending.empty() && out.retries < ResilienceOptions::kMaxRetries;
+       ++out.retries, backoff *= 2.0) {
+    clock.advance_seconds(backoff);
+    std::vector<std::size_t> still;
+    for (const std::size_t k : pending) {
+      try {
+        out.rows[k] = oracle.distances_to(targets[k]);
+      } catch (const resilience::TransientOracleError&) {
+        still.push_back(k);
+      }
+    }
+    pending.swap(still);
+  }
+  if (pending.empty()) return;
+  if (fallback == nullptr && !tolerate) {
+    std::vector<graph::NodeId> dead;
+    dead.reserve(pending.size());
+    for (const std::size_t k : pending) dead.push_back(targets[k]);
+    throw resilience::TransientOracleError(std::move(dead));
+  }
+  for (const std::size_t k : pending) {
+    out.source[k] = fallback ? RowSource::kFallback : RowSource::kNone;
+    if (fallback != nullptr) out.rows[k] = fallback->distances_to(targets[k]);
+  }
+}
 
 RouteService::RouteService(const graph::Graph& g,
                            const graph::DistanceOracle& oracle,
@@ -47,70 +192,49 @@ RouteService::RouteService(const graph::Graph& g,
       scheme_(scheme),
       router_(router),
       options_(options),
-      virtual_time_(options.virtual_pair_cost_seconds > 0.0) {
+      virtual_time_(options.virtual_pair_cost_seconds > 0.0),
+      stats_(kStatCount),
+      admission_(options.admission) {
   if (scheme_ != nullptr) {
     NAV_REQUIRE(scheme_->num_nodes() == graph_.num_nodes(),
                 "scheme/graph size mismatch");
   }
-  const auto finite_non_negative = [](double x) {
-    return std::isfinite(x) && x >= 0.0;
-  };
-  NAV_REQUIRE(finite_non_negative(options_.virtual_pair_cost_seconds),
+  NAV_REQUIRE(std::isfinite(options_.virtual_pair_cost_seconds) &&
+                  options_.virtual_pair_cost_seconds >= 0.0,
               "virtual_pair_cost_seconds must be finite and >= 0");
-  const ResilienceOptions& rz = options_.resilience;
-  NAV_REQUIRE(finite_non_negative(rz.backoff_base_seconds),
-              "backoff_base_seconds must be finite and >= 0");
-  NAV_REQUIRE(finite_non_negative(rz.batch_deadline_seconds),
-              "batch_deadline_seconds must be finite and >= 0");
-  NAV_REQUIRE(rz.fallback_router == nullptr || rz.fallback_oracle != nullptr,
+  NAV_REQUIRE(options_.resilience.fallback_router == nullptr ||
+                  options_.resilience.fallback_oracle != nullptr,
               "fallback_router needs a fallback_oracle");
-  if (options_.admission.kind == AdmissionPolicy::Kind::kAdaptive) {
-    NAV_REQUIRE(virtual_time_,
-                "adaptive admission needs virtual_pair_cost_seconds > 0");
-    NAV_REQUIRE(options_.admission.slo_seconds > 0.0,
-                "adaptive admission needs an SLO > 0");
-    NAV_REQUIRE(options_.admission.adaptive_min_pairs >= 1,
-                "adaptive window floor must be >= 1");
-  }
+  const bool adaptive = admission_.kind == AdmissionPolicy::Kind::kAdaptive;
+  NAV_REQUIRE(!adaptive || virtual_time_,
+              "adaptive admission needs virtual_pair_cost_seconds > 0");
+  NAV_REQUIRE(!adaptive || admission_.slo_seconds > 0.0,
+              "adaptive admission needs an SLO > 0");
   metrics_ = options_.metrics != nullptr ? options_.metrics : &owned_metrics_;
-  submitted_batches_ = metrics_->counter("route_service.submitted_batches");
-  submitted_pairs_ = metrics_->counter("route_service.submitted_pairs");
-  executed_batches_ = metrics_->counter("route_service.executed_batches");
-  shed_batches_ = metrics_->counter("route_service.shed_batches");
-  shed_pairs_ = metrics_->counter("route_service.shed_pairs");
-  blocked_submits_ = metrics_->counter("route_service.blocked_submits");
-  queued_batches_ = metrics_->gauge("route_service.queued_batches");
-  queued_pairs_ = metrics_->gauge("route_service.queued_pairs");
-  peak_queued_pairs_ = metrics_->gauge("route_service.peak_queued_pairs");
+  register_stats(kQueueTier);
   batch_pairs_hist_ =
       metrics_->histogram("route_service.batch_pairs", 0.0, 4096.0, 64);
   queue_wait_ms_hist_ =
       metrics_->histogram("route_service.queue_wait_ms", 0.0, 1000.0, 50);
   exec_ms_hist_ =
       metrics_->histogram("route_service.exec_ms", 0.0, 1000.0, 50);
-  // The adaptive and resilience metrics register LAZILY — adaptive ones
-  // here (the policy is explicit opt-in), resilience ones on the first
-  // degradation event (ensure_resilience_metrics) — so a fault-free,
-  // non-adaptive service scrapes byte-identically to the pre-resilience
-  // schema. Default-constructed handles are no-op / read-as-zero.
-  if (options_.admission.kind == AdmissionPolicy::Kind::kAdaptive) {
-    rejected_batches_ = metrics_->counter("route_service.rejected_batches");
-    rejected_pairs_ = metrics_->counter("route_service.rejected_pairs");
-    slo_breaches_ = metrics_->counter("route_service.slo_breaches");
-    adaptive_window_ = metrics_->gauge("route_service.adaptive_window_pairs");
+  if (adaptive) {
+    register_stats(kAdaptiveTier);
+    admission_.attach(stats_[kSloBreaches].counter,
+                      stats_[kAdaptiveWindowPairs].gauge);
   }
 }
 
-void RouteService::ensure_resilience_metrics() const {
-  // Callers hold queue_mutex_. counter() dedups by name, so the flag is
-  // only an idempotence fast path.
-  if (resilience_metrics_registered_) return;
-  retries_ = metrics_->counter("resilience.retries");
-  fallback_routes_ = metrics_->counter("resilience.fallback_routes");
-  deadline_breaches_ = metrics_->counter("resilience.deadline_breaches");
-  degraded_pairs_ = metrics_->counter("resilience.degraded_pairs");
-  failed_pairs_ = metrics_->counter("resilience.failed_pairs");
-  resilience_metrics_registered_ = true;
+void RouteService::register_stats(std::uint8_t tier) const {
+  for (std::size_t i = 0; i < kStatRows.size(); ++i) {
+    const StatRow& row = kStatRows[i];
+    if (row.tier != tier) continue;
+    if (row.gauge) {
+      stats_[i].gauge = metrics_->gauge(row.metric);
+    } else {
+      stats_[i].counter = metrics_->counter(row.metric);
+    }
+  }
 }
 
 RouteService::RouteService(const NavigationEngine& engine,
@@ -175,129 +299,62 @@ RouteReport RouteService::route_jobs(std::span<const RouteJob> jobs) const {
   }
 
   const ResilienceOptions& rz = options_.resilience;
-  resilience::VirtualClock& vclock = resilience::global_virtual_clock();
-  const double batch_v0 = vclock.seconds();
-  const auto budget_spent = [&] {
-    return rz.batch_deadline_seconds > 0.0 &&
-           vclock.seconds() - batch_v0 > rz.batch_deadline_seconds;
-  };
-
-  // Wave by wave: prefetch the wave's distance vectors in one batch (one
-  // BFS per miss, farmed across the pool, pinned past any eviction), then
-  // route every shard through its pinned row via route_row —
-  // shards never touch the oracle, so exactly one BFS per distinct target
-  // regardless of cache capacity, concurrency, or batch order.
-  const std::size_t wave =
-      std::max<std::size_t>(1, options_.max_pinned_targets);
-  // One pin vector reused across waves: prefetch_into clears and refills
-  // it, so after the first wave the container itself allocates nothing.
-  std::vector<graph::DistVecPtr> pinned;
-  std::vector<RowSource> slot_source;
-  for (std::size_t lo = 0; lo < shard_jobs.size(); lo += wave) {
-    const std::size_t hi = std::min(shard_jobs.size(), lo + wave);
-    const std::size_t slots = hi - lo;
-    slot_source.assign(slots, RowSource::kPrimary);
-    try {
-      oracle_.prefetch_into(
-          std::span<const graph::NodeId>(shard_target).subspan(lo, slots),
-          pinned);
-    } catch (const resilience::TransientOracleError&) {
-      // Partial success: a well-behaved thrower (FaultyOracle) has filled
-      // every non-failing slot already; the retry loop finishes the holes.
-    }
-    pinned.resize(slots);  // nulls at any holes
-    // The still-missing slots, retried as a shrinking subset with
-    // exponential VIRTUAL backoff: deterministic, never a real sleep.
-    std::vector<std::size_t> pending;
-    for (std::size_t s = 0; s < slots; ++s) {
-      if (!pinned[s]) pending.push_back(s);
-    }
-    double backoff = rz.backoff_base_seconds;
-    for (std::size_t round = 0;
-         !pending.empty() && round < ResilienceOptions::kMaxRetries; ++round) {
-      if (budget_spent()) {
-        report.deadline_breached = true;
-        break;
-      }
-      ++report.retries;
-      vclock.advance_seconds(backoff);
-      backoff *= 2.0;
-      std::vector<std::size_t> still;
-      for (const std::size_t s : pending) {
-        try {
-          pinned[s] = oracle_.distances_to(shard_target[lo + s]);
-        } catch (const resilience::TransientOracleError&) {
-          still.push_back(s);
-        }
-      }
-      pending.swap(still);
-    }
-    if (!pending.empty()) {
-      if (rz.fallback_oracle != nullptr) {
-        for (const std::size_t s : pending) {
-          pinned[s] = rz.fallback_oracle->distances_to(shard_target[lo + s]);
-          slot_source[s] = RowSource::kFallback;
-        }
-      } else if (rz.tolerate_faults) {
-        for (const std::size_t s : pending) slot_source[s] = RowSource::kNone;
-      } else {
-        std::vector<graph::NodeId> dead;
-        dead.reserve(pending.size());
-        for (const std::size_t s : pending) {
-          dead.push_back(shard_target[lo + s]);
-        }
-        throw resilience::TransientOracleError(std::move(dead));
-      }
-    }
+  // Wave by wave: fetch the wave's distance rows (one batched prefetch, one
+  // BFS per miss farmed across the pool, pinned past any eviction, plus the
+  // resilience ladder when the oracle faults), then route every shard
+  // through its pinned row via route_row — shards never touch the oracle,
+  // so exactly one BFS per distinct target regardless of cache capacity,
+  // concurrency, or batch order.
+  WaveRows wave;
+  for (std::size_t lo = 0; lo < shard_jobs.size(); lo += kMaxPinnedTargets) {
+    const std::size_t hi = std::min(shard_jobs.size(), lo + kMaxPinnedTargets);
+    const auto targets =
+        std::span<const graph::NodeId>(shard_target).subspan(lo, hi - lo);
+    fetch_wave(oracle_, targets, rz.fallback_oracle,
+               options_.tolerate_unreachable,
+               resilience::global_virtual_clock(), wave);
+    report.retries += wave.retries;
     // Reachability check BEFORE the fan-out: pool tasks are noexcept by
     // policy, so every route precondition must be established on this
     // thread, where a throw reaches the caller (or a submit() future).
-    // Under tolerate_unreachable a disconnected pair becomes a
-    // reached = false result here and its job is excluded from routing;
-    // rowless (kNone) and fallback-sourced pairs are classified here too.
+    // Under tolerate_unreachable a disconnected or rowless (kNone) pair
+    // becomes a reached = false result here and its job is excluded from
+    // routing; fallback-sourced pairs are classified here too.
     for (std::size_t k = lo; k < hi; ++k) {
-      const std::size_t s = k - lo;
-      if (slot_source[s] == RowSource::kNone) {
-        for (const std::size_t i : shard_jobs[k]) {
-          results[i].reached = false;
-          results[i].initial_distance = graph::kInfDist;
-          status[i] = DegradationStatus::kFailed;
-        }
-        continue;
-      }
-      if (slot_source[s] == RowSource::kFallback) {
-        for (const std::size_t i : shard_jobs[k]) {
-          status[i] = DegradationStatus::kDegraded;
-        }
+      const RowSource source = wave.source[k - lo];
+      const graph::DistVecPtr& row = wave.rows[k - lo];
+      if (source == RowSource::kFallback) {
         report.fallback_pairs += shard_jobs[k].size();
       }
-      const auto& dist = *pinned[s];
       for (const std::size_t i : shard_jobs[k]) {
-        if (dist[jobs[i].source] != graph::kInfDist) continue;
+        if (source == RowSource::kFallback) {
+          status[i] = DegradationStatus::kDegraded;
+        }
+        if (row && (*row)[jobs[i].source] != graph::kInfDist) continue;
         NAV_REQUIRE(options_.tolerate_unreachable ||
-                        slot_source[s] == RowSource::kFallback,
+                        source == RowSource::kFallback,
                     "target unreachable from source");
         results[i].reached = false;
         results[i].initial_distance = graph::kInfDist;
-        status[i] = DegradationStatus::kDegraded;
+        status[i] =
+            row ? DegradationStatus::kDegraded : DegradationStatus::kFailed;
       }
     }
     // Dynamic scheduling: shard sizes are as skewed as the workload.
     nav::parallel_for(lo, hi, [&](std::size_t k) {
-      const std::size_t s = k - lo;
-      if (slot_source[s] == RowSource::kNone) return;
+      const graph::DistVecPtr& row = wave.rows[k - lo];
+      if (!row) return;
       const routing::Router& shard_router =
-          slot_source[s] == RowSource::kFallback &&
+          wave.source[k - lo] == RowSource::kFallback &&
                   rz.fallback_router != nullptr
               ? *rz.fallback_router
               : router_;
-      const graph::DistRow& dist = *pinned[s];
       for (const std::size_t i : shard_jobs[k]) {
-        if (dist[jobs[i].source] == graph::kInfDist) {
+        if ((*row)[jobs[i].source] == graph::kInfDist) {
           continue;  // already reported as unreached
         }
         results[i] = shard_router.route_row(
-            jobs[i].source, jobs[i].target, dist, scheme_, jobs[i].rng);
+            jobs[i].source, jobs[i].target, *row, scheme_, jobs[i].rng);
       }
     });
   }
@@ -319,17 +376,17 @@ RouteReport RouteService::route_jobs(std::span<const RouteJob> jobs) const {
   report.batch.seconds = timer.seconds();
   exec_ms_hist_.observe(report.batch.seconds * 1000.0);
   if (report.retries != 0 || report.fallback_pairs != 0 ||
-      report.degraded_pairs != 0 || report.failed_pairs != 0 ||
-      report.deadline_breached) {
+      report.degraded_pairs != 0 || report.failed_pairs != 0) {
     // Written under queue_mutex_ so queue_stats() sees exact values; the
     // fault-free fast path never takes this lock.
     std::lock_guard lock(queue_mutex_);
-    ensure_resilience_metrics();
-    retries_.inc(report.retries);
-    fallback_routes_.inc(report.fallback_pairs);
-    degraded_pairs_.inc(report.degraded_pairs);
-    failed_pairs_.inc(report.failed_pairs);
-    if (report.deadline_breached) deadline_breaches_.inc();
+    if (!std::exchange(resilience_registered_, true)) {
+      register_stats(kResilienceTier);
+    }
+    stats_[kRetries].counter.inc(report.retries);
+    stats_[kFallbackPairs].counter.inc(report.fallback_pairs);
+    stats_[kDegradedPairs].counter.inc(report.degraded_pairs);
+    stats_[kFailedPairs].counter.inc(report.failed_pairs);
   }
   return report;
 }
@@ -338,52 +395,47 @@ std::future<std::vector<routing::RouteResult>> RouteService::submit(
     std::vector<std::pair<graph::NodeId, graph::NodeId>> pairs, Rng rng) {
   NAV_REQUIRE(!virtual_time_,
               "a virtual-time RouteService needs submit(pairs, rng, vtime)");
-  return submit_impl({std::move(pairs), rng, {}, 0.0});
+  return submit(std::move(pairs), rng, 0.0);
 }
 
 std::future<std::vector<routing::RouteResult>> RouteService::submit(
     std::vector<std::pair<graph::NodeId, graph::NodeId>> pairs, Rng rng,
     double arrival_vtime) {
-  return submit_impl({std::move(pairs), rng, {}, arrival_vtime});
-}
-
-std::future<std::vector<routing::RouteResult>> RouteService::submit_impl(
-    PendingBatch batch) {
+  PendingBatch batch{std::move(pairs), rng, {}, arrival_vtime};
   auto future = batch.promise.get_future();
   const std::size_t incoming = batch.pairs.size();
   {
     std::unique_lock lock(queue_mutex_);
+    const obs::Gauge& queued_pairs = stats_[kQueuedPairs].gauge;
+    // Backpressure (Bounded): wait for room. The gauge is only written
+    // under queue_mutex_, so reading it here is race-free.
+    bool waited = false;
+    while (!stopping_ &&
+           !admission_.has_room(
+               static_cast<std::size_t>(queued_pairs.value()), incoming)) {
+      waited = true;
+      queue_space_cv_.wait(lock);
+    }
     NAV_REQUIRE(!stopping_, "submit on a stopping RouteService");
+    if (virtual_time_) {
+      NAV_REQUIRE(
+          std::isfinite(batch.arrival) && batch.arrival >= last_arrival_,
+          "virtual arrival times must be finite and non-decreasing");
+      last_arrival_ = batch.arrival;
+    } else {
+      batch.arrival = steady_seconds();  // arrives when it enters the queue
+    }
+    if (waited) stats_[kBlockedSubmits].counter.inc();
     if (!service_thread_.joinable()) {
       service_thread_ = std::thread([this] { service_loop(); });
     }
-    if (options_.admission.kind == AdmissionPolicy::Kind::kBounded) {
-      // Backpressure: wait for room. An oversized batch is admitted once the
-      // queue is empty (the bound throttles the producer; it must not make a
-      // batch unserviceable). The gauge is only written under queue_mutex_,
-      // so reading it in the predicate is race-free.
-      const auto has_room = [&] {
-        const auto depth = static_cast<std::size_t>(queued_pairs_.value());
-        return stopping_ || depth == 0 ||
-               depth + incoming <= options_.admission.max_queued_pairs;
-      };
-      bool waited = false;
-      while (!has_room()) {
-        waited = true;
-        queue_space_cv_.wait(lock);
-      }
-      NAV_REQUIRE(!stopping_, "submit on a stopping RouteService");
-      if (waited) blocked_submits_.inc();
-    }
-    // On steady time the batch arrives when it enters the queue.
-    if (!virtual_time_) batch.arrival = steady_seconds();
     queue_.push_back(std::move(batch));
-    submitted_batches_.inc();
-    submitted_pairs_.inc(incoming);
+    stats_[kSubmittedBatches].counter.inc();
+    stats_[kSubmittedPairs].counter.inc(incoming);
     batch_pairs_hist_.observe(static_cast<double>(incoming));
-    queued_batches_.add(1);
-    queued_pairs_.add(static_cast<std::int64_t>(incoming));
-    peak_queued_pairs_.set_max(queued_pairs_.value());
+    stats_[kQueuedBatches].gauge.add(1);
+    queued_pairs.add(static_cast<std::int64_t>(incoming));
+    stats_[kPeakQueuedPairs].gauge.set_max(queued_pairs.value());
   }
   queue_cv_.notify_one();
   return future;
@@ -413,28 +465,11 @@ QueueStats RouteService::queue_stats() const {
   // acquires them in the opposite order.
   std::lock_guard lock(queue_mutex_);
   QueueStats stats;
-  stats.queued_batches = static_cast<std::size_t>(queued_batches_.value());
-  stats.queued_pairs = static_cast<std::size_t>(queued_pairs_.value());
-  stats.peak_queued_pairs =
-      static_cast<std::size_t>(peak_queued_pairs_.value());
-  stats.submitted_batches =
-      static_cast<std::size_t>(submitted_batches_.value());
-  stats.submitted_pairs = static_cast<std::size_t>(submitted_pairs_.value());
-  stats.executed_batches = static_cast<std::size_t>(executed_batches_.value());
-  stats.shed_batches = static_cast<std::size_t>(shed_batches_.value());
-  stats.shed_pairs = static_cast<std::size_t>(shed_pairs_.value());
-  stats.rejected_batches =
-      static_cast<std::size_t>(rejected_batches_.value());
-  stats.rejected_pairs = static_cast<std::size_t>(rejected_pairs_.value());
-  stats.blocked_submits = static_cast<std::size_t>(blocked_submits_.value());
-  stats.retries = static_cast<std::size_t>(retries_.value());
-  stats.fallback_pairs = static_cast<std::size_t>(fallback_routes_.value());
-  stats.deadline_breaches =
-      static_cast<std::size_t>(deadline_breaches_.value());
-  stats.degraded_pairs = static_cast<std::size_t>(degraded_pairs_.value());
-  stats.failed_pairs = static_cast<std::size_t>(failed_pairs_.value());
-  stats.slo_breaches = static_cast<std::size_t>(slo_breaches_.value());
-  stats.adaptive_window_pairs = adaptive_window_pairs_;
+  for (std::size_t i = 0; i < kStatRows.size(); ++i) {
+    const StatHandle& handle = stats_[i];
+    stats.*kStatRows[i].field = static_cast<std::size_t>(
+        kStatRows[i].gauge ? handle.gauge.value() : handle.counter.value());
+  }
   return stats;
 }
 
@@ -445,7 +480,6 @@ std::vector<double> RouteService::virtual_sojourns() const {
 
 void RouteService::service_loop() {
   resilience::VirtualClock& vclock = resilience::global_virtual_clock();
-  const AdmissionPolicy& admission = options_.admission;
   while (true) {
     PendingBatch batch;
     double start = 0.0;
@@ -458,46 +492,26 @@ void RouteService::service_loop() {
       if (queue_.empty()) return;  // stopping and drained
       batch = std::move(queue_.front());
       queue_.pop_front();
-      queued_batches_.sub(1);
-      queued_pairs_.sub(static_cast<std::int64_t>(batch.pairs.size()));
+      const std::size_t pairs = batch.pairs.size();
+      stats_[kQueuedBatches].gauge.sub(1);
+      stats_[kQueuedPairs].gauge.sub(static_cast<std::int64_t>(pairs));
       // The instant the server can start this batch, on the service's
       // clock: now, or once the virtual server has worked off its backlog.
       start = virtual_time_ ? std::max(batch.arrival, vfree_) : steady_seconds();
       const double waited = start - batch.arrival;
       queue_wait_ms_hist_.observe(waited * 1000.0);
-      const auto depth = static_cast<std::size_t>(queued_pairs_.value());
-      const auto drop = [&](ShedError::Reason reason) {
+      if (const auto reason = admission_.verdict(
+              waited, pairs, options_.virtual_pair_cost_seconds)) {
+        const bool shed = *reason == ShedError::Reason::kDeadline;
+        stats_[shed ? kShedBatches : kRejectedBatches].counter.inc();
+        stats_[shed ? kShedPairs : kRejectedPairs].counter.inc(pairs);
+        const auto depth =
+            static_cast<std::size_t>(stats_[kQueuedPairs].gauge.value());
         lock.unlock();
         queue_space_cv_.notify_all();
-        batch.promise.set_exception(std::make_exception_ptr(
-            ShedError(reason, waited, batch.pairs.size(), depth)));
-      };
-      if (admission.kind == AdmissionPolicy::Kind::kShed &&
-          waited > admission.deadline_seconds) {
-        shed_batches_.inc();
-        shed_pairs_.inc(batch.pairs.size());
-        drop(ShedError::Reason::kDeadline);
+        batch.promise.set_exception(
+            std::make_exception_ptr(ShedError(*reason, waited, pairs, depth)));
         continue;
-      }
-      if (admission.kind == AdmissionPolicy::Kind::kAdaptive) {
-        if (adaptive_window_pairs_ == 0) {
-          adaptive_window_pairs_ = admission.adaptive_start_pairs;
-          adaptive_window_.set(
-              static_cast<std::int64_t>(adaptive_window_pairs_));
-        }
-        // Reject iff the server is already behind AND admitting this batch
-        // would push the backlog past the window. An idle server always
-        // admits (no single-batch livelock, mirroring Bounded).
-        const double backlog_pairs =
-            waited / options_.virtual_pair_cost_seconds;
-        if (backlog_pairs > 0.0 &&
-            backlog_pairs + static_cast<double>(batch.pairs.size()) >
-                static_cast<double>(adaptive_window_pairs_)) {
-          rejected_batches_.inc();
-          rejected_pairs_.inc(batch.pairs.size());
-          drop(ShedError::Reason::kRejected);
-          continue;
-        }
       }
     }
     queue_space_cv_.notify_all();
@@ -514,30 +528,14 @@ void RouteService::service_loop() {
         // routed" when a bad batch fails its future below — and before the
         // future resolves, so a caller returning from get() observes it.
         std::lock_guard lock(queue_mutex_);
-        executed_batches_.inc();
+        stats_[kExecutedBatches].counter.inc();
         if (virtual_time_) {
-          const double exec_v = static_cast<double>(batch.pairs.size()) *
-                                    options_.virtual_pair_cost_seconds +
-                                vexec_injected;
-          vfree_ = start + exec_v;
-          const double sojourn_v = vfree_ - batch.arrival;
-          virtual_sojourns_.push_back(sojourn_v);
-          if (admission.kind == AdmissionPolicy::Kind::kAdaptive) {
-            if (sojourn_v > admission.slo_seconds) {
-              // Multiplicative decrease, floored: stay serving even when
-              // every batch breaches.
-              slo_breaches_.inc();
-              adaptive_window_pairs_ = std::max(
-                  admission.adaptive_min_pairs,
-                  static_cast<std::size_t>(
-                      static_cast<double>(adaptive_window_pairs_) *
-                      kAdaptiveDecrease));
-            } else {
-              adaptive_window_pairs_ += admission.adaptive_increase_pairs;
-            }
-            adaptive_window_.set(
-                static_cast<std::int64_t>(adaptive_window_pairs_));
-          }
+          vfree_ = start +
+                   static_cast<double>(batch.pairs.size()) *
+                       options_.virtual_pair_cost_seconds +
+                   vexec_injected;
+          virtual_sojourns_.push_back(vfree_ - batch.arrival);
+          admission_.served(virtual_sojourns_.back());
         }
       }
       batch.promise.set_value(std::move(results));

@@ -7,9 +7,9 @@
 // whatever the cache capacity, pool width or request order:
 //
 //   1. shard the batch by target (order of first appearance),
-//   2. prefetch the shard targets in waves of at most max_pinned_targets
-//      through the oracle's batch interface (one BFS per miss, farmed across
-//      the pool; the rows stay pinned for the wave, immune to LRU eviction),
+//   2. fetch the shard targets in waves of at most kMaxPinnedTargets
+//      (fetch_wave: one batched prefetch, one BFS per miss farmed across the
+//      pool; the rows stay pinned for the wave, immune to LRU eviction),
 //   3. execute the wave's shards across the pool (parallel_for's claim loop —
 //      shards are uneven), each routing through its pinned row
 //      (Router::route_row), so no pool task ever queries the oracle,
@@ -25,31 +25,25 @@
 //
 // "Always-on": submit() enqueues a batch on a lazily started service thread
 // and returns a std::future; batches execute FIFO and the destructor drains
-// the queue. RouteServiceOptions::admission bounds that queue:
-//   * Unbounded — every batch is queued, no backpressure;
-//   * Bounded{max_queued_pairs} — submit() blocks the producer until the
-//     queue has room (an oversized batch is admitted into an empty queue);
-//   * Shed{deadline_seconds} — a batch that waited longer than the deadline
-//     is dropped at dequeue: its future fails with ShedError;
-//   * Adaptive{slo_seconds} — an AIMD window over admitted work: a batch
-//     whose backlog would overflow the window is rejected at dequeue, and
-//     each served batch's sojourn halves the window on an SLO breach and
-//     grows it additively otherwise.
+// the queue. RouteServiceOptions::admission bounds that queue: Unbounded,
+// Bounded (backpressure on the producer), Shed (drop batches that waited
+// past a deadline) or Adaptive (an AIMD window over admitted work); the
+// AdmissionPolicy takes every admission decision.
 //
 // The service runs on ONE clock, fixed at construction. With
 // virtual_pair_cost_seconds > 0 it is virtual time: batches arrive at the
-// submitter's virtual times (submit's vtime overload), a batch of P pairs
-// costs P * virtual_pair_cost_seconds plus any latency the fault layer
-// injected, and every admission decision is a pure function of arrival
-// times and batch sizes. Otherwise it is the steady wall clock. Shed and
-// Adaptive both measure a batch's wait as start - arrival on that clock.
+// submitter's finite, non-decreasing virtual times (submit's vtime
+// overload), a batch of P pairs costs P * virtual_pair_cost_seconds plus any
+// latency the fault layer injected, and every admission decision is a pure
+// function of arrival times and batch sizes. Otherwise it is the steady wall
+// clock. Shed and Adaptive both measure a batch's wait as start - arrival on
+// that clock.
 //
-// Resilience (RouteServiceOptions::resilience): when the oracle injects
-// transient faults (resilience::FaultyOracle), a prefetch wave retries its
-// FAILED SUBSET with exponential virtual-time backoff, falls back to a
-// degraded oracle/router pair when retries or the batch's deadline budget
-// run out, and classifies every pair in RouteReport::status. With a
-// fault-free oracle none of that code runs.
+// Resilience: when the oracle injects transient faults
+// (resilience::FaultyOracle), fetch_wave retries a wave's FAILED SUBSET with
+// exponential virtual-time backoff, then falls back to a degraded
+// oracle/router pair (RouteServiceOptions::resilience), and RouteReport
+// classifies every pair. With a fault-free oracle none of that code runs.
 #pragma once
 
 /// \file
@@ -60,7 +54,9 @@
 #include <cstdint>
 #include <deque>
 #include <future>
+#include <limits>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <thread>
@@ -69,6 +65,7 @@
 
 #include "api/engine.hpp"
 #include "obs/metrics.hpp"
+#include "resilience/virtual_clock.hpp"
 #include "routing/router.hpp"
 #include "routing/trial_runner.hpp"
 #include "runtime/assert.hpp"
@@ -141,6 +138,9 @@ class ShedError : public std::runtime_error {
 
 /// Admission policy for the submit() queue (route_batch/route_jobs run on
 /// the caller's thread and are never queued, so admission does not apply).
+/// The fields configure it; the member functions take every admission
+/// decision and own the Adaptive window. RouteService calls them on its own
+/// copy, under its queue mutex.
 struct AdmissionPolicy {
   /// How submit() reacts when demand outruns the service.
   enum class Kind : std::uint8_t {
@@ -162,14 +162,13 @@ struct AdmissionPolicy {
   /// shrinks the window. Requires a virtual-time service
   /// (virtual_pair_cost_seconds > 0, checked at construction).
   double slo_seconds = 0.0;
-  /// kAdaptive: initial admitted-work window, in pairs.
-  std::size_t adaptive_start_pairs = 1024;
-  /// kAdaptive: the window never shrinks below this floor (so the service
-  /// keeps serving SOMETHING under any overload).
-  std::size_t adaptive_min_pairs = 64;
-  /// kAdaptive: additive window growth per SLO-respecting batch. (An SLO
-  /// breach halves the window, floored at adaptive_min_pairs.)
-  std::size_t adaptive_increase_pairs = 64;
+
+  /// kAdaptive window, in pairs: it opens at kAdaptiveStartPairs, grows by
+  /// kAdaptiveIncreasePairs per SLO-respecting batch, and halves on a breach
+  /// but never below kAdaptiveMinPairs (so the service keeps serving).
+  static constexpr std::size_t kAdaptiveStartPairs = 64;
+  static constexpr std::size_t kAdaptiveMinPairs = 16;
+  static constexpr std::size_t kAdaptiveIncreasePairs = 16;
 
   /// The original unbounded FIFO (default).
   [[nodiscard]] static AdmissionPolicy unbounded() { return {}; }
@@ -203,11 +202,38 @@ struct AdmissionPolicy {
     policy.slo_seconds = slo_seconds;
     return policy;
   }
+
+  /// At submit(): may `incoming` pairs join `queued_pairs` waiting ones?
+  [[nodiscard]] bool has_room(std::size_t queued_pairs,
+                              std::size_t incoming) const noexcept {
+    return kind != Kind::kBounded || queued_pairs == 0 ||
+           queued_pairs + incoming <= max_queued_pairs;
+  }
+  /// At dequeue: why a batch of `pairs` that waited `waited_seconds` (a
+  /// backlog of waited_seconds / pair_cost_seconds pairs) is dropped, or
+  /// nullopt to serve it.
+  [[nodiscard]] std::optional<ShedError::Reason> verdict(
+      double waited_seconds, std::size_t pairs, double pair_cost_seconds);
+  /// After a batch was served with virtual sojourn `sojourn_seconds`: the
+  /// AIMD update (kAdaptive only).
+  void served(double sojourn_seconds);
+  /// Points the SLO-breach counter and the window gauge at the service's
+  /// registry (kAdaptive; no-ops until then).
+  void attach(obs::Counter slo_breaches, obs::Gauge window) noexcept {
+    slo_breaches_ = std::move(slo_breaches);
+    window_ = std::move(window);
+  }
+
+ private:
+  std::size_t window_pairs_ = 0;  // 0 until the first kAdaptive verdict
+  obs::Counter slo_breaches_;
+  obs::Gauge window_;
 };
 
 /// Live queue depth plus cumulative admission counters (queue_stats()): a
 /// point-in-time view over the service's `route_service.*` and
-/// `resilience.*` registry metrics, read under the queue mutex.
+/// `resilience.*` registry metrics, read under the queue mutex through one
+/// field-to-metric table (route_service.cpp), which since() reuses.
 struct QueueStats {
   std::size_t queued_batches = 0;     ///< batches waiting right now
   std::size_t queued_pairs = 0;       ///< pairs waiting right now
@@ -223,11 +249,15 @@ struct QueueStats {
   // Degradation counters (resilience.* metrics; zero on a fault-free stack).
   std::size_t retries = 0;             ///< prefetch retry rounds taken
   std::size_t fallback_pairs = 0;      ///< pairs routed via the fallback
-  std::size_t deadline_breaches = 0;   ///< batches whose budget ran out
   std::size_t degraded_pairs = 0;      ///< pairs completed degraded
   std::size_t failed_pairs = 0;        ///< pairs with no usable row at all
   std::size_t slo_breaches = 0;        ///< Adaptive: served-over-SLO batches
   std::size_t adaptive_window_pairs = 0;  ///< Adaptive: live window size
+
+  /// This view minus an earlier one of the same service: cumulative counters
+  /// become deltas; the gauges (queued_*, the lifetime peak_queued_pairs,
+  /// adaptive_window_pairs) keep this view's values.
+  [[nodiscard]] QueueStats since(const QueueStats& before) const;
 };
 
 /// How a pair's route was produced, per RouteReport entry. Order matters:
@@ -240,24 +270,17 @@ enum class DegradationStatus : std::uint8_t {
   kFailed     ///< executed but unroutable: no usable distance row survived
 };
 
-/// Degraded-mode knobs: what the service does when the oracle throws
-/// resilience::TransientOracleError mid-batch. Defaults keep retrying
-/// enabled everywhere (the retry loop is free when no fault fires) and the
-/// fallback chain empty.
+/// The fallback tier the service routes through when the oracle's
+/// resilience::TransientOracleError outlives kMaxRetries retry rounds.
+/// Default: no fallback tier.
 struct ResilienceOptions {
   /// Retry rounds per prefetch wave before giving up on a target. Each
   /// round retries only the still-failing subset (the oracle's partial-
   /// success contract fills everything else), so convergence is per-target.
   static constexpr std::size_t kMaxRetries = 3;
-  /// Virtual backoff before retry round k: base * 2^(k-1) seconds, advanced
-  /// on the global virtual clock — deterministic, never a real sleep.
-  /// Must be finite and >= 0.
-  double backoff_base_seconds = 1e-3;
-  /// Per-batch degradation budget in virtual seconds (0 = unlimited): once
-  /// a batch has accumulated this much injected virtual time, remaining
-  /// faulted targets skip further retries and go straight to the fallback.
-  /// Must be finite and >= 0.
-  double batch_deadline_seconds = 0.0;
+  /// Virtual backoff before retry round k: kBackoffBaseSeconds * 2^(k-1),
+  /// advanced on the virtual clock — deterministic, never a real sleep.
+  static constexpr double kBackoffBaseSeconds = 1e-3;
   /// Degraded oracle consulted for targets whose retries are exhausted
   /// (e.g. a landmark oracle — approximate but fault-free). Must outlive
   /// the service. nullptr = no fallback tier.
@@ -266,26 +289,19 @@ struct ResilienceOptions {
   /// (Router{exact = false}). nullptr routes fallback rows with the primary
   /// router. Setting it without a fallback_oracle is rejected.
   const routing::Router* fallback_router = nullptr;
-  /// With no fallback tier: report pairs whose target has no usable row as
-  /// DegradationStatus::kFailed (reached = false) instead of failing the
-  /// whole batch with the oracle's TransientOracleError.
-  bool tolerate_faults = false;
 };
 
 /// Execution knobs for RouteService. The global pool's width alone decides
 /// fan-out; results are bit-identical at any width.
 struct RouteServiceOptions {
-  /// Shards execute in waves of at most this many targets; each wave's
-  /// distance vectors are prefetched in one batch and pinned for the wave's
-  /// duration, bounding peak pinned memory at
-  /// max_pinned_targets × n × width_bytes(oracle width) bytes per batch.
-  std::size_t max_pinned_targets = 512;
   /// How submit() admits batches when demand outruns the service.
   AdmissionPolicy admission;
-  /// Report an unreachable (source, target) pair as RouteResult{reached =
-  /// false, initial_distance = kInfDist, steps = 0} instead of throwing.
-  /// The dynamic-graph posture: edge failures can disconnect pairs mid-run,
-  /// and a robustness bench wants the success *rate*, not an exception.
+  /// Report a pair the service cannot route as RouteResult{reached = false,
+  /// initial_distance = kInfDist, steps = 0} instead of throwing: kDegraded
+  /// when it is unreachable, kFailed when its target has no usable row after
+  /// the retries and no fallback tier (instead of failing the whole batch
+  /// with the oracle's TransientOracleError). The dynamic-graph and chaos
+  /// posture: a robustness bench wants the success *rate*.
   bool tolerate_unreachable = false;
   /// Registry the service records its `route_service.*` metrics into.
   /// nullptr (default) gives the service a private registry — multiple
@@ -302,6 +318,32 @@ struct RouteServiceOptions {
   /// Degraded-mode behaviour under transient oracle faults.
   ResilienceOptions resilience;
 };
+
+/// Where one pinned row of a prefetch wave came from (fetch_wave).
+enum class RowSource : std::uint8_t {
+  kPrimary,   ///< the service's own oracle (possibly after retries)
+  kFallback,  ///< the degraded fallback oracle
+  kNone       ///< no usable row: retries exhausted, no fallback, tolerated
+};
+
+/// One prefetch wave's pinned rows, in target order (rows[k] is null when
+/// source[k] is kNone). Reused across waves: after the first wave its
+/// containers allocate nothing.
+struct WaveRows {
+  std::vector<graph::DistVecPtr> rows;  ///< distance row toward target k
+  std::vector<RowSource> source;        ///< how rows[k] was obtained
+  std::size_t retries = 0;              ///< retry rounds the wave took
+};
+
+/// The resilience ladder over one wave: prefetch `targets` from `oracle` in
+/// one batch; retry the failing subset for up to kMaxRetries rounds, round k
+/// after kBackoffBaseSeconds * 2^(k-1) of `clock` time; then take the rest
+/// from `fallback`, or mark it kNone when `tolerate`, or throw
+/// resilience::TransientOracleError naming exactly the dead targets.
+void fetch_wave(const graph::DistanceOracle& oracle,
+                std::span<const graph::NodeId> targets,
+                const graph::DistanceOracle* fallback, bool tolerate,
+                resilience::VirtualClock& clock, WaveRows& out);
 
 /// Execution telemetry for one batch.
 struct BatchReport {
@@ -329,8 +371,6 @@ struct RouteReport {
   std::size_t retries = 0;
   /// Pairs routed through the fallback oracle/router tier.
   std::size_t fallback_pairs = 0;
-  /// True when the batch's virtual deadline budget ran out mid-execution.
-  bool deadline_breached = false;
   /// The plain execution telemetry.
   BatchReport batch;
 };
@@ -341,6 +381,12 @@ struct RouteReport {
 /// route_batch calls.
 class RouteService {
  public:
+  /// Shards execute in waves of at most this many targets; each wave's
+  /// distance rows are prefetched in one batch and pinned for the wave's
+  /// duration, bounding peak pinned memory at
+  /// kMaxPinnedTargets × n × width_bytes(oracle width) bytes per batch.
+  static constexpr std::size_t kMaxPinnedTargets = 512;
+
   /// Wraps explicit components (the Experiment per-cell path). `scheme` may
   /// be null: local links only. Throws std::invalid_argument on inconsistent
   /// options (see RouteServiceOptions / ResilienceOptions).
@@ -385,9 +431,10 @@ class RouteService {
 
   /// submit() with a VIRTUAL arrival time (seconds on the driver's virtual
   /// axis, e.g. workload::ArrivalSchedule times). On a virtual-time service
-  /// the batch arrives at `arrival_vtime`; arrival times must be
-  /// non-decreasing across submits (FIFO order is the virtual order). A
-  /// steady-time service ignores `arrival_vtime`.
+  /// the batch arrives at `arrival_vtime`, which must be finite and no
+  /// earlier than the previous submit's (FIFO order is the virtual order);
+  /// otherwise this throws std::invalid_argument. A steady-time service
+  /// ignores `arrival_vtime`.
   [[nodiscard]] std::future<std::vector<routing::RouteResult>> submit(
       std::vector<std::pair<graph::NodeId, graph::NodeId>> pairs, Rng rng,
       double arrival_vtime);
@@ -440,14 +487,15 @@ class RouteService {
     double arrival = 0.0;
   };
 
-  /// submit() body shared by both overloads.
-  [[nodiscard]] std::future<std::vector<routing::RouteResult>> submit_impl(
-      PendingBatch batch);
+  /// A QueueStats row's registry handle: a counter, or a gauge.
+  struct StatHandle {
+    obs::Counter counter;
+    obs::Gauge gauge;
+  };
 
-  /// Registers the `resilience.*` counters on first use (under
-  /// queue_mutex_); a fault-free service never registers them, keeping its
-  /// scrape schema byte-identical to the pre-resilience service.
-  void ensure_resilience_metrics() const;
+  /// Registers one tier of QueueStats rows (see the row table in the .cpp;
+  /// under queue_mutex_ once the service is shared).
+  void register_stats(std::uint8_t tier) const;
 
   void service_loop();
 
@@ -459,40 +507,20 @@ class RouteService {
   bool virtual_time_ = false;  // virtual_pair_cost_seconds > 0
 
   // Metric storage. The owned registry backs metrics_ unless options.metrics
-  // injected an external one; handles are registered once at construction.
-  // Every queue counter/gauge is written ONLY under queue_mutex_, so
-  // queue_stats() (which reads under the same mutex) sees exact values —
-  // the mutex provides the happens-before the relaxed shard cells need.
+  // injected an external one. stats_ holds one handle per QueueStats row, in
+  // the row table's order; an unregistered row is a read-as-zero no-op.
+  // Every row is written ONLY under queue_mutex_, so queue_stats() (which
+  // reads under the same mutex) sees exact values — the mutex provides the
+  // happens-before the relaxed shard cells need. Mutable because resilience
+  // rows register and count inside const route_jobs, on the thread that ran
+  // it (never from pool tasks).
   obs::Registry owned_metrics_;
   obs::Registry* metrics_ = nullptr;
-  obs::Counter submitted_batches_;
-  obs::Counter submitted_pairs_;
-  obs::Counter executed_batches_;
-  obs::Counter shed_batches_;
-  obs::Counter shed_pairs_;
-  obs::Counter rejected_batches_;
-  obs::Counter rejected_pairs_;
-  obs::Counter blocked_submits_;
-  obs::Gauge queued_batches_;
-  obs::Gauge queued_pairs_;
-  obs::Gauge peak_queued_pairs_;
+  mutable std::vector<StatHandle> stats_;
+  mutable bool resilience_registered_ = false;
   obs::HistogramHandle batch_pairs_hist_;
   obs::HistogramHandle queue_wait_ms_hist_;
   obs::HistogramHandle exec_ms_hist_;
-  // Resilience counters (`resilience.*`): written on the thread that ran
-  // route_jobs, after the batch completes — never from pool tasks.
-  // Registered LAZILY on the first degradation event (so a fault-free
-  // service's scrape schema is unchanged); mutable because registration may
-  // happen inside const route_jobs. Adaptive handles register at
-  // construction, but only under the kAdaptive policy.
-  mutable obs::Counter retries_;
-  mutable obs::Counter fallback_routes_;
-  mutable obs::Counter deadline_breaches_;
-  mutable obs::Counter degraded_pairs_;
-  mutable obs::Counter failed_pairs_;
-  mutable bool resilience_metrics_registered_ = false;
-  obs::Counter slo_breaches_;
-  obs::Gauge adaptive_window_;
 
   mutable std::mutex queue_mutex_;
   std::condition_variable queue_cv_;        // work available / stopping
@@ -502,12 +530,14 @@ class RouteService {
   bool paused_ = false;
   std::thread service_thread_;  // started lazily by submit()
 
-  // Virtual-time serving state (all under queue_mutex_). vfree_ is the
-  // virtual instant the single logical server becomes free; the Adaptive
-  // window and the sojourn log are pure functions of (arrival vtimes, batch
-  // sizes, FIFO order, injected fault latency) — no wall clock anywhere.
+  // Serving state (all under queue_mutex_). admission_ is the live copy of
+  // options_.admission that owns the Adaptive window; vfree_ is the virtual
+  // instant the single logical server becomes free. The window and the
+  // sojourn log are pure functions of (arrival vtimes, batch sizes, FIFO
+  // order, injected fault latency) — no wall clock anywhere.
+  AdmissionPolicy admission_;
   double vfree_ = 0.0;
-  std::size_t adaptive_window_pairs_ = 0;  // 0 until first adaptive dequeue
+  double last_arrival_ = -std::numeric_limits<double>::infinity();
   std::vector<double> virtual_sojourns_;
 };
 

@@ -17,8 +17,9 @@
 //                  k draws fresh at attempt k+1).
 //   slow:<p>:<us>  each attempt independently injects <us> microseconds of
 //                  VIRTUAL latency (resilience/virtual_clock.hpp) with
-//                  probability p — deadline budgets and the kAdaptive SLO
-//                  model see the latency, the wall clock never does.
+//                  probability p — virtual-time admission and the
+//                  kAdaptive SLO model see the latency, the wall clock
+//                  never does.
 //
 // Spec text is a ':'-separated clause sequence, e.g. "fail:0.05:stall:0.1"
 // or "slow:0.2:500:seed:7"; `seed:<n>` re-keys the whole schedule. The

@@ -11,11 +11,11 @@
 //   * fail faults throw TransientOracleError. The batch contract makes
 //     retries converge: prefetch_into fills `out` for every NON-failing
 //     position first and the thrown error lists only the failed targets, so
-//     a caller retries the failed subset and keeps the rest (RouteService's
+//     a caller retries the failed subset and keeps the rest (api::fetch_wave's
 //     bounded-retry loop relies on this partial-success contract).
 //   * slow faults advance a VirtualClock (the process-global one by
-//     default) instead of sleeping — latency that deadline budgets and the
-//     kAdaptive SLO model observe at zero wall cost.
+//     default) instead of sleeping — latency that virtual-time admission
+//     and the kAdaptive SLO model observe at zero wall cost.
 //
 // Reachable from every surface as make_oracle("faulty:<base>:<faults>"),
 // e.g. "faulty:cache:64:fail:0.05:stall:0.1:seed:7".

@@ -4,8 +4,8 @@
 // or a retry backoff cannot call std::this_thread::sleep_for and stay
 // deterministic (or fast). Instead, injected latency ADVANCES a virtual
 // clock — an atomic microsecond accumulator — and the consumers that care
-// about elapsed "time" (RouteService deadline budgets, virtual-time Shed
-// evaluation, the kAdaptive sojourn model) read deltas of this clock instead
+// about elapsed "time" (virtual-time Shed evaluation, the kAdaptive sojourn
+// model, which also counts retry backoffs) read deltas of this clock instead
 // of the wall clock. Integer microseconds, not floating seconds, so
 // concurrent advances from a prefetch wave accumulate associatively: the
 // total is independent of thread interleaving.

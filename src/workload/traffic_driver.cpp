@@ -209,24 +209,9 @@ WorkloadReport TrafficDriver::run(Rng rng) {
   report.hops = summarize(std::move(hops));
   report.stretch = summarize(std::move(stretch));
   report.sojourn_ms = summarize(std::move(sojourn_ms));
-  report.queue = service_.queue_stats();
-  // Cumulative counters become this-run deltas; the live gauges
-  // (queued_*) and peak_queued_pairs stay as the service reports them —
-  // the peak is a service-lifetime high-water mark by definition.
-  report.queue.submitted_batches -= before.submitted_batches;
-  report.queue.submitted_pairs -= before.submitted_pairs;
-  report.queue.executed_batches -= before.executed_batches;
-  report.queue.shed_batches -= before.shed_batches;
-  report.queue.shed_pairs -= before.shed_pairs;
-  report.queue.rejected_batches -= before.rejected_batches;
-  report.queue.rejected_pairs -= before.rejected_pairs;
-  report.queue.blocked_submits -= before.blocked_submits;
-  report.queue.retries -= before.retries;
-  report.queue.fallback_pairs -= before.fallback_pairs;
-  report.queue.deadline_breaches -= before.deadline_breaches;
-  report.queue.degraded_pairs -= before.degraded_pairs;
-  report.queue.failed_pairs -= before.failed_pairs;
-  report.queue.slo_breaches -= before.slo_breaches;
+  // Cumulative counters become this-run deltas; the live gauges stay as
+  // the service reports them.
+  report.queue = service_.queue_stats().since(before);
 
   // Adaptive-run summary: deterministic virtual sojourns of the batches
   // this run actually served, and the strict p99-vs-SLO verdict.
@@ -241,10 +226,8 @@ WorkloadReport TrafficDriver::run(Rng rng) {
       run_v_ms.push_back(vsojourns[i] * 1e3);
     }
     report.sojourn_v_ms = summarize(std::move(run_v_ms));
-    report.slo_breaches = report.queue.slo_breaches;
     report.p99_under_slo =
         report.sojourn_v_ms.p99 <= report.slo_seconds * 1e3;
-    report.adaptive_window_pairs = report.queue.adaptive_window_pairs;
   }
   return report;
 }
@@ -301,11 +284,12 @@ api::Record WorkloadReport::record() const {
     row.push_back({"sojourn_v_ms_p50", sojourn_v_ms.p50});
     row.push_back({"sojourn_v_ms_p95", sojourn_v_ms.p95});
     row.push_back({"sojourn_v_ms_p99", sojourn_v_ms.p99});
-    row.push_back({"slo_breaches", static_cast<std::uint64_t>(slo_breaches)});
+    row.push_back(
+        {"slo_breaches", static_cast<std::uint64_t>(queue.slo_breaches)});
     row.push_back(
         {"p99_under_slo", static_cast<std::uint64_t>(p99_under_slo ? 1 : 0)});
     row.push_back({"adaptive_window_pairs",
-                   static_cast<std::uint64_t>(adaptive_window_pairs)});
+                   static_cast<std::uint64_t>(queue.adaptive_window_pairs)});
   }
   return row;
 }

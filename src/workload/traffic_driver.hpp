@@ -146,11 +146,8 @@ struct WorkloadReport {
   /// Virtual sojourns of THIS run's served batches, milliseconds.
   /// Deterministic (virtual time), unlike sojourn_ms.
   QuantileSummary sojourn_v_ms;
-  std::size_t slo_breaches = 0;    ///< served batches over the SLO this run
   /// The strict acceptance metric: p99 virtual sojourn within the SLO.
   bool p99_under_slo = false;
-  /// The controller's window when the run ended (live value).
-  std::size_t adaptive_window_pairs = 0;
 
   /// Admitted batches' results (submission order), only when
   /// TrafficOptions::keep_results was set; shed batches leave empty slots.

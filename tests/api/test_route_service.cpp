@@ -10,6 +10,8 @@
 
 #include "api/engine.hpp"
 #include "graph/families.hpp"
+#include "graph/oracle_factory.hpp"
+#include "routing/router_factory.hpp"
 #include "routing/trial_runner.hpp"
 #include "support/trial_reference.hpp"
 
@@ -87,50 +89,52 @@ TEST(RouteService, BatchSplitDoesNotChangeResults) {
 }
 
 TEST(RouteService, ShardingCutsBfsChurnAtCacheOracleSizes) {
-  // A small LRU + interleaved targets: per-pair order thrashes (most pairs
-  // miss), target shards pay exactly one BFS per distinct target — even
-  // across multiple prefetch waves, because shards route through
-  // wave-pinned vectors instead of re-querying the oracle.
+  // A small LRU + interleaved targets: per-pair order thrashes (every pair
+  // misses), target shards pay exactly one BFS per distinct target — even
+  // across several prefetch waves (600 targets > kMaxPinnedTargets),
+  // because shards route through wave-pinned vectors instead of
+  // re-querying the oracle.
   Rng graph_rng(3);
-  const auto g = graph::family("grid2d").make(400, graph_rng);
-  const std::size_t distinct = 16;
-  const auto pairs = mixed_target_pairs(g.num_nodes(), 128, distinct, 4);
-
-  {
-    // The per-pair baseline: one direct route per pair, request order.
-    graph::TargetDistanceCache cache(g, 4);  // capacity << distinct targets
-    const auto router = routing::make_router("greedy", g, cache);
-    const Rng rng(5);
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      (void)router->route(pairs[i].first, pairs[i].second, nullptr,
-                          rng.child(i));
+  const auto g = graph::family("grid2d").make(1024, graph_rng);
+  for (const std::size_t distinct : {16u, 600u}) {
+    const auto pairs = mixed_target_pairs(g.num_nodes(), 5 * distinct,
+                                          distinct, 4);
+    {
+      // The per-pair baseline: one direct route per pair, request order.
+      graph::TargetDistanceCache cache(g, 4);  // capacity << distinct
+      const auto router = routing::make_router("greedy", g, cache);
+      const Rng rng(5);
+      for (std::size_t i = 0; i < pairs.size(); ++i) {
+        (void)router->route(pairs[i].first, pairs[i].second, nullptr,
+                            rng.child(i));
+      }
+      EXPECT_GT(cache.misses(), 4 * distinct) << "distinct=" << distinct;
     }
-    EXPECT_GT(cache.misses(), 4 * distinct);
-  }
-  for (const std::size_t wave : {static_cast<std::size_t>(3),
-                                 static_cast<std::size_t>(512)}) {
     graph::TargetDistanceCache cache(g, 4);
     const auto router = routing::make_router("greedy", g, cache);
-    RouteServiceOptions options;
-    options.max_pinned_targets = wave;
-    const RouteService service(g, cache, nullptr, *router, options);
+    const RouteService service(g, cache, nullptr, *router);
     (void)service.route_batch(pairs, Rng(5));
-    EXPECT_EQ(cache.misses(), distinct) << "wave=" << wave;
+    EXPECT_EQ(cache.misses(), distinct) << "distinct=" << distinct;
   }
 }
 
 TEST(RouteService, WaveSplitDoesNotChangeResults) {
-  // Forcing many small prefetch waves is another execution-schedule change
-  // that must not move a single bit.
-  auto engine = NavigationEngine::from_family("grid2d", 400);
+  // A batch over more distinct targets than one wave pins runs in several
+  // prefetch waves; that schedule must not move a single bit against
+  // routing the pairs one by one.
+  auto engine = NavigationEngine::from_family("grid2d", 1024);
   engine.use_scheme("uniform");
-  const auto pairs = mixed_target_pairs(engine.graph().num_nodes(), 60, 11, 6);
-  const auto whole = RouteService(engine).route_batch(pairs, Rng(3)).results;
-  RouteServiceOptions tiny_waves;
-  tiny_waves.max_pinned_targets = 2;
-  expect_same_results(
-      RouteService(engine, tiny_waves).route_batch(pairs, Rng(3)).results,
-      whole);
+  const auto pairs =
+      mixed_target_pairs(engine.graph().num_nodes(), 1200, 600, 6);
+  ASSERT_GT(600u, RouteService::kMaxPinnedTargets);
+  const Rng rng(3);
+  std::vector<routing::RouteResult> expected;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    expected.push_back(
+        engine.route(pairs[i].first, pairs[i].second, rng.child(i)));
+  }
+  expect_same_results(RouteService(engine).route_batch(pairs, rng).results,
+                      expected);
 }
 
 TEST(RouteService, UnreachablePairThrowsOnTheCallingThread) {
@@ -300,11 +304,47 @@ TEST(RouteService, QueueStatsTrackSubmissions) {
   EXPECT_GE(stats.peak_queued_pairs, 1u);
 }
 
+/// Every QueueStats field equals its metric in a scrape of the quiescent
+/// service's registry; a metric the service never registered is absent from
+/// the scrape and its field reads 0.
+void expect_stats_equal_scrape(const RouteService& service) {
+  const auto stats = service.queue_stats();
+  const auto snapshot = service.metrics().scrape();
+  const auto scraped = [&](const char* name) -> std::size_t {
+    if (const auto* c = snapshot.find_counter(name)) return c->value;
+    if (const auto* g = snapshot.find_gauge(name)) {
+      return static_cast<std::size_t>(g->value);
+    }
+    return 0;
+  };
+  EXPECT_EQ(stats.queued_batches, scraped("route_service.queued_batches"));
+  EXPECT_EQ(stats.queued_pairs, scraped("route_service.queued_pairs"));
+  EXPECT_EQ(stats.peak_queued_pairs,
+            scraped("route_service.peak_queued_pairs"));
+  EXPECT_EQ(stats.submitted_batches,
+            scraped("route_service.submitted_batches"));
+  EXPECT_EQ(stats.submitted_pairs, scraped("route_service.submitted_pairs"));
+  EXPECT_EQ(stats.executed_batches,
+            scraped("route_service.executed_batches"));
+  EXPECT_EQ(stats.shed_batches, scraped("route_service.shed_batches"));
+  EXPECT_EQ(stats.shed_pairs, scraped("route_service.shed_pairs"));
+  EXPECT_EQ(stats.rejected_batches,
+            scraped("route_service.rejected_batches"));
+  EXPECT_EQ(stats.rejected_pairs, scraped("route_service.rejected_pairs"));
+  EXPECT_EQ(stats.blocked_submits, scraped("route_service.blocked_submits"));
+  EXPECT_EQ(stats.retries, scraped("resilience.retries"));
+  EXPECT_EQ(stats.fallback_pairs, scraped("resilience.fallback_routes"));
+  EXPECT_EQ(stats.degraded_pairs, scraped("resilience.degraded_pairs"));
+  EXPECT_EQ(stats.failed_pairs, scraped("resilience.failed_pairs"));
+  EXPECT_EQ(stats.slo_breaches, scraped("route_service.slo_breaches"));
+  EXPECT_EQ(stats.adaptive_window_pairs,
+            scraped("route_service.adaptive_window_pairs"));
+}
+
 TEST(RouteService, QueueStatsBitIdenticalToScrapedRegistry) {
-  // queue_stats() is now a view over the service registry: every field must
-  // equal the corresponding route_service.* counter/gauge in a scrape taken
-  // while the service is quiescent. This is the migration contract — the
-  // public QueueStats API moved onto the registry without changing a value.
+  // queue_stats() is a view over the service registry: every field must
+  // equal the corresponding route_service.* / resilience.* metric in a
+  // scrape taken while the service is quiescent.
   auto engine = NavigationEngine::from_family("grid2d", 256);
   engine.use_scheme("uniform");
   RouteServiceOptions options;
@@ -316,33 +356,58 @@ TEST(RouteService, QueueStatsBitIdenticalToScrapedRegistry) {
   auto f2 = service.submit({{0, 100}, {1, 101}}, Rng(4));
   (void)f1.get();
   (void)f2.get();
-
+  expect_stats_equal_scrape(service);
+  // Sanity: the run actually moved the counters, and a fault-free Shed
+  // service registers no adaptive or resilience metric.
   const auto stats = service.queue_stats();
-  const auto snapshot = service.metrics().scrape();
-  const auto counter = [&](const char* name) -> std::size_t {
-    const auto* c = snapshot.find_counter(name);
-    EXPECT_NE(c, nullptr) << name;
-    return c ? static_cast<std::size_t>(c->value) : ~std::size_t{0};
-  };
-  const auto gauge = [&](const char* name) -> std::size_t {
-    const auto* g = snapshot.find_gauge(name);
-    EXPECT_NE(g, nullptr) << name;
-    return g ? static_cast<std::size_t>(g->value) : ~std::size_t{0};
-  };
-  EXPECT_EQ(stats.submitted_batches,
-            counter("route_service.submitted_batches"));
-  EXPECT_EQ(stats.submitted_pairs, counter("route_service.submitted_pairs"));
-  EXPECT_EQ(stats.executed_batches, counter("route_service.executed_batches"));
-  EXPECT_EQ(stats.shed_batches, counter("route_service.shed_batches"));
-  EXPECT_EQ(stats.shed_pairs, counter("route_service.shed_pairs"));
-  EXPECT_EQ(stats.blocked_submits, counter("route_service.blocked_submits"));
-  EXPECT_EQ(stats.queued_batches, gauge("route_service.queued_batches"));
-  EXPECT_EQ(stats.queued_pairs, gauge("route_service.queued_pairs"));
-  EXPECT_EQ(stats.peak_queued_pairs,
-            gauge("route_service.peak_queued_pairs"));
-  // Sanity: the run actually moved the counters.
   EXPECT_EQ(stats.submitted_batches, 2u);
   EXPECT_EQ(stats.submitted_pairs, 26u);
+  const auto snapshot = service.metrics().scrape();
+  EXPECT_EQ(snapshot.find_counter("route_service.rejected_batches"), nullptr);
+  EXPECT_EQ(snapshot.find_counter("resilience.retries"), nullptr);
+
+  // A faulted Adaptive service moves the rest: all six batches arrive at
+  // vtime 0, the first is served over the SLO (a breach, the window halves)
+  // and the other five are rejected; fail:1.0 exhausts every retry, so the
+  // served batch goes to the fallback tier or, without one, fails per pair.
+  const auto oracle =
+      graph::make_oracle("faulty:cache:16:fail:1.0", engine.graph());
+  const auto router = routing::make_router("greedy", engine.graph(), *oracle);
+  const auto landmark = graph::make_oracle("landmark:4", engine.graph());
+  const auto fallback =
+      routing::make_router("greedy", engine.graph(), *landmark);
+  for (const bool with_fallback : {true, false}) {
+    RouteServiceOptions faulted;
+    faulted.admission = AdmissionPolicy::adaptive(0.05);
+    faulted.virtual_pair_cost_seconds = 0.0078125;
+    faulted.tolerate_unreachable = true;
+    if (with_fallback) {
+      faulted.resilience.fallback_oracle = landmark.get();
+      faulted.resilience.fallback_router = fallback.get();
+    }
+    RouteService adaptive(engine.graph(), *oracle, engine.scheme(), *router,
+                          faulted);
+    const auto batch = mixed_target_pairs(engine.graph().num_nodes(), 32, 8, 5);
+    adaptive.pause();
+    std::vector<std::future<std::vector<routing::RouteResult>>> futures;
+    for (int b = 0; b < 6; ++b) {
+      futures.push_back(adaptive.submit(batch, Rng(b), 0.0));
+    }
+    adaptive.resume();
+    for (auto& future : futures) future.wait();
+    expect_stats_equal_scrape(adaptive);
+    const auto moved = adaptive.queue_stats();
+    EXPECT_EQ(moved.executed_batches, 1u);
+    EXPECT_EQ(moved.rejected_batches, 5u);
+    EXPECT_EQ(moved.rejected_pairs, 5u * 32u);
+    EXPECT_EQ(moved.slo_breaches, 1u);
+    EXPECT_EQ(moved.adaptive_window_pairs,
+              AdmissionPolicy::kAdaptiveStartPairs / 2);
+    EXPECT_EQ(moved.retries, ResilienceOptions::kMaxRetries);
+    EXPECT_EQ(moved.fallback_pairs, with_fallback ? 32u : 0u);
+    EXPECT_EQ(moved.degraded_pairs, with_fallback ? 32u : 0u);
+    EXPECT_EQ(moved.failed_pairs, with_fallback ? 0u : 32u);
+  }
 }
 
 TEST(RouteService, PauseHoldsTheQueueAndResumeDrainsIt) {

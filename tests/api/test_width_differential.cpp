@@ -57,23 +57,21 @@ void expect_identical(const RouteReport& got, const RouteReport& want,
 TEST(WidthDifferential, RouteServiceMatchesU32MatrixAtEveryWidth) {
   for (const std::string family : {"grid2d", "torus2d", "gnp", "random_tree"}) {
     Rng graph_rng(11);
-    const auto g = graph::family(family).make(400, graph_rng);
+    const auto g = graph::family(family).make(1024, graph_rng);
     Rng scheme_rng(12);
     const auto scheme = core::make_scheme("uniform", g, scheme_rng);
     const graph::DistanceMatrix matrix(g);
-    // Capacity below the 12 targets: waves evict and re-BFS while routing.
-    RouteServiceOptions options;
-    options.max_pinned_targets = 5;
-    const auto pairs = interleaved_pairs(g.num_nodes(), 96, 12, 13);
+    // 600 targets: two waves of at most kMaxPinnedTargets, and a cache far
+    // below either, so waves evict and re-BFS while routing.
+    const auto pairs = interleaved_pairs(g.num_nodes(), 1200, 600, 13);
     for (const std::string router_spec : {"greedy", "lookahead:1"}) {
       const auto ref_router = routing::make_router(router_spec, g, matrix);
-      const auto want = RouteService(g, matrix, scheme.get(), *ref_router,
-                                     options)
+      const auto want = RouteService(g, matrix, scheme.get(), *ref_router)
                             .route_batch(pairs, Rng(14));
       for (const DistWidth width : kWidths) {
         const graph::TargetDistanceCache cache(g, 8, width);
         const auto router = routing::make_router(router_spec, g, cache);
-        const auto got = RouteService(g, cache, scheme.get(), *router, options)
+        const auto got = RouteService(g, cache, scheme.get(), *router)
                              .route_batch(pairs, Rng(14));
         expect_identical(got, want,
                          family + "/" + router_spec + "/" + width_token(width));

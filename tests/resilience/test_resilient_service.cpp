@@ -1,11 +1,12 @@
 // test_resilient_service.cpp — graceful degradation through RouteService:
 // the bounded-retry loop converges on transient faults (the chaos
 // acceptance bar: every batch completes, >= 95% of pairs non-failed), the
-// fallback chain routes through a degraded oracle when retries or the
-// deadline budget run out, stalled (exact()=false) rows flow through
-// submit()'s prefetch waves with reached == false reported rather than
-// thrown, and the virtual-time Shed/Adaptive admission paths are
-// deterministic, structured, and bit-identical across same-seed runs.
+// fallback chain routes through a degraded oracle when retries run out,
+// fetch_wave walks that ladder on its own, without a service, stalled
+// (exact()=false) rows flow through submit()'s prefetch waves with
+// reached == false reported rather than thrown, and the virtual-time
+// Shed/Adaptive admission paths are deterministic, structured, and
+// bit-identical across same-seed runs.
 #include "api/route_service.hpp"
 
 #include <gtest/gtest.h>
@@ -66,7 +67,7 @@ TEST(ResilientService, ChaosBatchCompletesWithMostPairsServed) {
   engine.use_scheme("uniform");
   const auto pairs = mixed_pairs(400, 256, 48, 0xC0);
   RouteServiceOptions options;
-  options.resilience.tolerate_faults = true;
+  options.tolerate_unreachable = true;
   FaultedStack stack(engine, "faulty:cache:16:fail:0.05:stall:0.05:seed:5",
                      options);
 
@@ -93,7 +94,7 @@ TEST(ResilientService, SameSeedChaosRunsAreBitIdentical) {
   const auto pairs = mixed_pairs(400, 128, 32, 0xD1);
   const auto run = [&] {
     RouteServiceOptions options;
-    options.resilience.tolerate_faults = true;
+    options.tolerate_unreachable = true;
     FaultedStack stack(engine, "faulty:cache:16:fail:0.1:stall:0.1:seed:9",
                        options);
     return stack.service.route_batch(pairs, Rng(7));
@@ -104,7 +105,6 @@ TEST(ResilientService, SameSeedChaosRunsAreBitIdentical) {
   // status and route must replay bit for bit from a fresh stack.
   EXPECT_EQ(a.retries, b.retries);
   EXPECT_EQ(a.fallback_pairs, b.fallback_pairs);
-  EXPECT_EQ(a.deadline_breached, b.deadline_breached);
   ASSERT_EQ(a.status, b.status);
   ASSERT_EQ(a.results.size(), b.results.size());
   for (std::size_t i = 0; i < a.results.size(); ++i) {
@@ -143,37 +143,13 @@ TEST(ResilientService, FallbackChainRoutesThroughTheLandmarkTier) {
   EXPECT_GT(stack.service.queue_stats().fallback_pairs, 0u);
 }
 
-TEST(ResilientService, DeadlineBudgetShortCircuitsToTheFallback) {
-  auto engine = NavigationEngine::from_family("grid2d", 400);
-  engine.use_scheme("uniform");
-  const auto fallback_oracle =
-      graph::make_oracle("landmark:8", engine.graph());
-  const auto fallback_router =
-      routing::make_router("greedy", engine.graph(), *fallback_oracle);
-  RouteServiceOptions options;
-  options.resilience.fallback_oracle = fallback_oracle.get();
-  options.resilience.fallback_router = fallback_router.get();
-  // The first retry round's backoff (1 ms virtual) blows a 1 us budget:
-  // exactly one round runs, then the batch is declared over-budget.
-  options.resilience.batch_deadline_seconds = 1e-6;
-  FaultedStack stack(engine, "faulty:cache:16:fail:1.0", options);
-
-  const auto pairs = mixed_pairs(400, 16, 4, 0xF3);
-  const auto report = stack.service.route_batch(pairs, Rng(4));
-  EXPECT_TRUE(report.deadline_breached);
-  EXPECT_EQ(report.retries, 1u);
-  EXPECT_EQ(report.degraded_pairs, pairs.size());
-  EXPECT_EQ(report.failed_pairs, 0u);
-  EXPECT_EQ(stack.service.queue_stats().deadline_breaches, 1u);
-}
-
 TEST(ResilientService, ToleratedFaultsReportFailedPairs) {
-  // No fallback tier, tolerate_faults: dead targets surface as per-pair
+  // No fallback tier, tolerate_unreachable: dead targets surface as per-pair
   // kFailed results (reached = false) instead of a thrown batch.
   auto engine = NavigationEngine::from_family("grid2d", 400);
   engine.use_scheme("uniform");
   RouteServiceOptions options;
-  options.resilience.tolerate_faults = true;
+  options.tolerate_unreachable = true;
   FaultedStack stack(engine, "faulty:cache:16:fail:1.0", options);
 
   const auto pairs = mixed_pairs(400, 12, 3, 0xA4);
@@ -203,14 +179,14 @@ TEST(ResilientService, StalledRowsFlowThroughSubmitPrefetchWaves) {
   // latches the stall-tolerant posture, submit()'s prefetch waves carry the
   // widened rows, and whatever stalls comes back reached == false — counted
   // as degraded, never thrown.
-  auto engine = NavigationEngine::from_family("grid2d", 400);
+  // 600 distinct targets: two waves of at most kMaxPinnedTargets per batch.
+  auto engine = NavigationEngine::from_family("grid2d", 1024);
   engine.use_scheme("uniform");
-  RouteServiceOptions options;
-  options.max_pinned_targets = 4;  // several waves per batch
-  FaultedStack stack(engine, "faulty:matrix:stall:1.0:seed:2", options);
+  FaultedStack stack(engine, "faulty:matrix:stall:1.0:seed:2");
   ASSERT_FALSE(stack.oracle->exact());
 
-  const auto pairs = mixed_pairs(400, 64, 16, 0xC6);
+  const auto pairs = mixed_pairs(1024, 1200, 600, 0xC6);
+  ASSERT_GT(600u, RouteService::kMaxPinnedTargets);
   auto future = stack.service.submit(
       std::vector<Pair>(pairs.begin(), pairs.end()), Rng(11));
   const auto via_submit = future.get();  // must not throw
@@ -334,8 +310,6 @@ TEST(ResilientService, AdaptiveAdmissionIsDeterministic) {
   const auto run = [&] {
     RouteServiceOptions options;
     options.admission = AdmissionPolicy::adaptive(0.05);
-    options.admission.adaptive_start_pairs = 64;
-    options.admission.adaptive_min_pairs = 16;
     options.virtual_pair_cost_seconds = 0.0078125;
     RouteService service(engine.graph(), engine.oracle(), engine.scheme(),
                          engine.router(), options);
@@ -385,13 +359,11 @@ TEST(ResilientService, AdaptiveAdmissionIsDeterministic) {
 TEST(ResilientService, AdaptiveWindowRecoversAdditively) {
   // Batches spaced a full service interval apart never queue: sojourn ==
   // 0.25 s < slo 0.5, so each served batch grows the window by
-  // adaptive_increase_pairs — AIMD's additive half.
+  // kAdaptiveIncreasePairs — AIMD's additive half.
   auto engine = NavigationEngine::from_family("grid2d", 400);
   engine.use_scheme("uniform");
   RouteServiceOptions options;
   options.admission = AdmissionPolicy::adaptive(0.5);
-  options.admission.adaptive_start_pairs = 64;
-  options.admission.adaptive_increase_pairs = 16;
   options.virtual_pair_cost_seconds = 0.0078125;
   RouteService service(engine.graph(), engine.oracle(), engine.scheme(),
                        engine.router(), options);
@@ -435,22 +407,11 @@ TEST(ResilientService, AdaptivePolicyValidatesItsConfiguration) {
     RouteServiceOptions cost;
     cost.virtual_pair_cost_seconds = bad;
     EXPECT_THROW(build(cost), std::invalid_argument) << bad;
-    RouteServiceOptions backoff;
-    backoff.resilience.backoff_base_seconds = bad;
-    EXPECT_THROW(build(backoff), std::invalid_argument) << bad;
-    RouteServiceOptions deadline;
-    deadline.resilience.batch_deadline_seconds = bad;
-    EXPECT_THROW(build(deadline), std::invalid_argument) << bad;
   }
   // A fallback router without a fallback oracle would be silently unused.
   RouteServiceOptions router_only;
   router_only.resilience.fallback_router = &engine.router();
   EXPECT_THROW(build(router_only), std::invalid_argument);
-  // The boundaries stay valid.
-  RouteServiceOptions zeros;
-  zeros.resilience.backoff_base_seconds = 0.0;
-  zeros.resilience.batch_deadline_seconds = 0.0;
-  EXPECT_NO_THROW(build(zeros));
 }
 
 TEST(ResilientService, VirtualTimeServiceRejectsPlainSubmit) {
@@ -480,6 +441,41 @@ TEST(ResilientService, VirtualTimeServiceRejectsPlainSubmit) {
                       engine.router());
   EXPECT_EQ(steady.submit(pairs, Rng(1), 123.0).get().size(), pairs.size());
   EXPECT_TRUE(steady.virtual_sojourns().empty());
+}
+
+TEST(ResilientService, VirtualArrivalMustBeFiniteAndNonDecreasing) {
+  // A NaN arrival passes every admission comparison (each one is false) and
+  // poisons the virtual server clock and the sojourn log; an earlier one
+  // breaks FIFO-is-virtual-order. Both are refused at submit(), before the
+  // batch is counted or queued.
+  auto engine = NavigationEngine::from_family("grid2d", 100);
+  engine.use_scheme("uniform");
+  const std::vector<Pair> pairs = {{0, 99}, {5, 50}};
+  RouteServiceOptions adaptive;
+  adaptive.admission = AdmissionPolicy::adaptive(0.05);
+  adaptive.virtual_pair_cost_seconds = 0.0078125;
+  RouteServiceOptions virtual_shed;
+  virtual_shed.admission = AdmissionPolicy::shed(0.1);
+  virtual_shed.virtual_pair_cost_seconds = 0.0078125;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& options : {adaptive, virtual_shed}) {
+    RouteService service(engine.graph(), engine.oracle(), engine.scheme(),
+                         engine.router(), options);
+    for (const double bad : {nan, inf, -inf}) {
+      EXPECT_THROW((void)service.submit(pairs, Rng(1), bad),
+                   std::invalid_argument)
+          << bad;
+    }
+    EXPECT_EQ(service.submit(pairs, Rng(1), 1.0).get().size(), pairs.size());
+    // A tie is in order; going back in time is not.
+    EXPECT_EQ(service.submit(pairs, Rng(2), 1.0).get().size(), pairs.size());
+    EXPECT_THROW((void)service.submit(pairs, Rng(3), 0.5),
+                 std::invalid_argument);
+    EXPECT_EQ(service.queue_stats().submitted_batches, 2u);
+    EXPECT_EQ(service.virtual_sojourns(),
+              (std::vector<double>{0.015625, 0.03125}));
+  }
 }
 
 TEST(ResilientService, ShedErrorFormatsItsStructuredContext) {

@@ -196,8 +196,6 @@ TEST(TrafficDriver, AdaptiveAdmissionReportsDeterministicSloVerdict) {
   const auto run = [&] {
     RouteServiceOptions options;
     options.admission = AdmissionPolicy::adaptive(0.05);
-    options.admission.adaptive_start_pairs = 64;
-    options.admission.adaptive_min_pairs = 16;
     options.virtual_pair_cost_seconds = 0.0078125;
     RouteService service(engine, options);
     const auto workload = engine.make_workload("zipf:1.1", 0x77);
@@ -215,11 +213,11 @@ TEST(TrafficDriver, AdaptiveAdmissionReportsDeterministicSloVerdict) {
   EXPECT_EQ(report.pairs_rejected, 5u * 32u);
   EXPECT_EQ(report.pairs_shed, 0u);
   EXPECT_EQ(report.queue.rejected_batches, 5u);
-  EXPECT_EQ(report.slo_breaches, 1u);
+  EXPECT_EQ(report.queue.slo_breaches, 1u);
   EXPECT_FALSE(report.p99_under_slo);  // 250 ms p99 vs 50 ms SLO
   EXPECT_EQ(report.sojourn_v_ms.count, 1u);
   EXPECT_DOUBLE_EQ(report.sojourn_v_ms.p99, 250.0);
-  EXPECT_EQ(report.adaptive_window_pairs, 32u);
+  EXPECT_EQ(report.queue.adaptive_window_pairs, 32u);
   EXPECT_FALSE(report.batches[0].rejected);
   EXPECT_TRUE(report.batches[1].rejected);
   // The jsonl row grows the adaptive columns only on adaptive runs, and the
@@ -232,7 +230,7 @@ TEST(TrafficDriver, AdaptiveAdmissionReportsDeterministicSloVerdict) {
   EXPECT_TRUE(has_verdict);
   const auto again = run();
   EXPECT_EQ(again.pairs_rejected, report.pairs_rejected);
-  EXPECT_EQ(again.slo_breaches, report.slo_breaches);
+  EXPECT_EQ(again.queue.slo_breaches, report.queue.slo_breaches);
   EXPECT_EQ(again.p99_under_slo, report.p99_under_slo);
   EXPECT_DOUBLE_EQ(again.sojourn_v_ms.p99, report.sojourn_v_ms.p99);
 }
