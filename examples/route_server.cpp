@@ -11,7 +11,8 @@
 //                  [--mutations <spec>] [--oracle <spec>] [--faults <spec>]
 //
 //   n          graph size (torus2d), default 8192
-//   batches    batches to submit, default 12 (x 256 pairs each)
+//   batches    batches to submit, default 12 (x 256 pairs each; under
+//              adaptive admission x 64 pairs, one per virtual service time)
 //   workload   any workload::make_workload spec, default "zipf:1.1"
 //              (uniform | zipf:<s> | local:<r> | adversarial |
 //               hotset:<k>:<p> | trace:<path>)
@@ -234,6 +235,16 @@ int main(int argc, char** argv) try {
   traffic.schedule = "burst:4:0.0";  // four simultaneous batches per wave
   traffic.batches = num_batches;
   traffic.batch_size = 256;
+  if (options.admission.kind == api::AdmissionPolicy::Kind::kAdaptive) {
+    // The AIMD window opens at kAdaptiveStartPairs, so a larger batch could
+    // never be admitted after the first; batches of that size arriving one
+    // virtual service time apart keep the server just busy, and fault
+    // latency (retry backoffs) is what pushes sojourns toward the SLO.
+    traffic.batch_size = api::AdmissionPolicy::kAdaptiveStartPairs;
+    traffic.schedule =
+        "burst:1:" + std::to_string(static_cast<double>(traffic.batch_size) *
+                                    options.virtual_pair_cost_seconds);
+  }
   traffic.keep_results = true;  // feeds the hop histogram below
   if (mutating) {
     traffic.dynamic_graph = &dyn;

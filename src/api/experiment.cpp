@@ -335,58 +335,41 @@ ExperimentResult Experiment::run() const {
             // sequential estimator (see RouteService::estimate_diameter).
             const RouteService service(cell_graph, cell_oracle, scheme.get(),
                                        *router);
-            routing::GreedyDiameterEstimate estimate;
-            double success_rate = 1.0;
-            if (!mutated && legacy_uniform) {
-              const Rng cell_rng =
-                  root.child(0x7a1a).child(si).child(ki).child(ri);
-              estimate = service.estimate_diameter(
-                  trials_, cell_rng,
-                  routing::trial_pairs(cell_graph, trials_, cell_rng));
-            } else if (!mutated) {
-              demand->reset();
-              const Rng cell_rng =
-                  root.child(0x77a1).child(wi).child(si).child(ki).child(ri);
-              // Demand pairs come from the estimators' pair sub-stream.
-              Rng demand_rng = routing::pair_stream(cell_rng);
-              estimate = service.estimate_diameter(
-                  trials_, cell_rng,
-                  demand->batch(trials_.num_pairs, demand_rng));
+            // Stream addresses: the legacy uniform grid, the workload
+            // axis, and the mutation axis each keep their own cell root.
+            const Rng cell_base =
+                mutated ? root.child(0xD7a1).child(mi).child(si).child(wi)
+                : legacy_uniform ? root.child(0x7a1a).child(si)
+                                 : root.child(0x77a1).child(wi).child(si);
+            const Rng cell_rng = cell_base.child(ki).child(ri);
+            std::vector<std::pair<graph::NodeId, graph::NodeId>> pairs;
+            if (legacy_uniform) {
+              pairs = routing::trial_pairs(cell_graph, trials_, cell_rng);
             } else {
-              // Mutated cell: draw the pair grid exactly as the matching
-              // static path would (same pair sub-stream of the cell rng),
-              // then drop pairs the mutation disconnected — a greedy route
-              // to an unreachable target never terminates, and the
-              // surviving fraction IS the robustness metric.
-              const Rng cell_rng = root.child(0xD7a1)
-                                       .child(mi)
-                                       .child(si)
-                                       .child(wi)
-                                       .child(ki)
-                                       .child(ri);
-              std::vector<std::pair<graph::NodeId, graph::NodeId>> selected;
-              if (legacy_uniform) {
-                selected = routing::trial_pairs(cell_graph, trials_, cell_rng);
-              } else {
-                demand->reset();
-                Rng demand_rng = routing::pair_stream(cell_rng);
-                selected = demand->batch(trials_.num_pairs, demand_rng);
-              }
-              std::vector<std::pair<graph::NodeId, graph::NodeId>> kept;
-              kept.reserve(selected.size());
-              for (const auto& [s, t] : selected) {
-                if (cell_oracle.distance(s, t) != graph::kInfDist) {
-                  kept.push_back({s, t});
-                }
-              }
-              success_rate = static_cast<double>(kept.size()) /
-                             static_cast<double>(selected.size());
-              if (!kept.empty()) {
-                estimate = service.estimate_diameter(trials_, cell_rng, kept);
-              }
-              // All pairs disconnected: the zero-initialised estimate
-              // stands (greedy diameter 0 over an empty trial set) with
-              // success_rate pinned at 0 — the cell still records.
+              // Demand pairs come from the estimators' pair sub-stream.
+              demand->reset();
+              Rng demand_rng = routing::pair_stream(cell_rng);
+              pairs = demand->batch(trials_.num_pairs, demand_rng);
+            }
+            // A mutated cell drops the pairs the mutation disconnected — a
+            // greedy route to an unreachable target never terminates, and
+            // the surviving fraction IS the robustness metric.
+            double success_rate = 1.0;
+            if (mutated) {
+              const std::size_t selected = pairs.size();
+              std::erase_if(pairs, [&](const auto& pair) {
+                return cell_oracle.distance(pair.first, pair.second) ==
+                       graph::kInfDist;
+              });
+              success_rate = static_cast<double>(pairs.size()) /
+                             static_cast<double>(selected);
+            }
+            // All pairs disconnected: the zero-initialised estimate stands
+            // (greedy diameter 0 over an empty trial set) with success_rate
+            // pinned at 0 — the cell still records.
+            routing::GreedyDiameterEstimate estimate;
+            if (!pairs.empty()) {
+              estimate = service.estimate_diameter(trials_, cell_rng, pairs);
             }
 
             CellResult cell;

@@ -170,15 +170,22 @@ void fetch_wave(const graph::DistanceOracle& oracle,
     pending.swap(still);
   }
   if (pending.empty()) return;
-  if (fallback == nullptr && !tolerate) {
-    std::vector<graph::NodeId> dead;
-    dead.reserve(pending.size());
-    for (const std::size_t k : pending) dead.push_back(targets[k]);
+  if (fallback == nullptr && tolerate) {
+    for (const std::size_t k : pending) out.source[k] = RowSource::kNone;
+    return;
+  }
+  std::vector<graph::NodeId> dead;
+  dead.reserve(pending.size());
+  for (const std::size_t k : pending) dead.push_back(targets[k]);
+  if (fallback == nullptr) {
     throw resilience::TransientOracleError(std::move(dead));
   }
-  for (const std::size_t k : pending) {
-    out.source[k] = fallback ? RowSource::kFallback : RowSource::kNone;
-    if (fallback != nullptr) out.rows[k] = fallback->distances_to(targets[k]);
+  // The dead subset is one batched wave on the fallback tier.
+  std::vector<graph::DistVecPtr> fallback_rows;
+  fallback->prefetch_into(dead, fallback_rows);
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    out.source[pending[i]] = RowSource::kFallback;
+    out.rows[pending[i]] = std::move(fallback_rows[i]);
   }
 }
 
@@ -476,6 +483,11 @@ QueueStats RouteService::queue_stats() const {
 std::vector<double> RouteService::virtual_sojourns() const {
   std::lock_guard lock(queue_mutex_);
   return virtual_sojourns_;
+}
+
+double RouteService::virtual_horizon() const {
+  std::lock_guard lock(queue_mutex_);
+  return std::max(last_arrival_, vfree_);
 }
 
 void RouteService::service_loop() {

@@ -338,8 +338,9 @@ struct WaveRows {
 /// The resilience ladder over one wave: prefetch `targets` from `oracle` in
 /// one batch; retry the failing subset for up to kMaxRetries rounds, round k
 /// after kBackoffBaseSeconds * 2^(k-1) of `clock` time; then take the rest
-/// from `fallback`, or mark it kNone when `tolerate`, or throw
-/// resilience::TransientOracleError naming exactly the dead targets.
+/// from `fallback` (one prefetch_into wave), or mark it kNone when
+/// `tolerate`, or throw resilience::TransientOracleError naming exactly the
+/// dead targets.
 void fetch_wave(const graph::DistanceOracle& oracle,
                 std::span<const graph::NodeId> targets,
                 const graph::DistanceOracle* fallback, bool tolerate,
@@ -477,6 +478,12 @@ class RouteService {
   /// empty on a steady-time service. Drivers slice this to compute windowed
   /// p99s against an SLO.
   [[nodiscard]] std::vector<double> virtual_sojourns() const;
+
+  /// The earliest virtual instant a new arrival stream may start at: the
+  /// later of the last submitted arrival and the instant the virtual server
+  /// frees (0 on a fresh or steady-time service). Drivers offset a run's
+  /// arrivals past it so one virtual-time service serves successive runs.
+  [[nodiscard]] double virtual_horizon() const;
 
  private:
   struct PendingBatch {

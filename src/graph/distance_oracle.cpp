@@ -171,11 +171,13 @@ std::shared_ptr<std::uint8_t> TargetDistanceCache::acquire_slot() const {
   return row;
 }
 
+bool TargetDistanceCache::fill_row(NodeId target, std::uint8_t* dst) const {
+  return local_bfs_workspace().row_into(graph_, target, width_, dst);
+}
+
 DistVecPtr TargetDistanceCache::compute_row(NodeId target) const {
   std::shared_ptr<std::uint8_t> slot = acquire_slot();
-  if (local_bfs_workspace().row_into(graph_, target, width_, slot.get())) {
-    return {};
-  }
+  if (fill_row(target, slot.get())) return {};
   const DistRow row(slot.get(), graph_.num_nodes(), width_);
   return {std::move(slot), row};
 }
@@ -250,7 +252,9 @@ namespace {
 
 // Grow-only per-thread scratch for TargetDistanceCache::prefetch_into: an
 // open-addressing probe table for intra-wave dedup plus the miss lists. No
-// node-based containers, so a warm all-hit wave allocates nothing.
+// node-based containers, so a warm all-hit wave allocates nothing. The
+// caller holds it across the miss fan-out, whose bodies also run on the
+// caller: fill_row (and every override) must never use it.
 struct PrefetchScratch {
   std::vector<std::size_t> table;      // probe slot -> input index + 1; 0 = empty
   std::vector<std::size_t> first_of;   // input index -> first occurrence index

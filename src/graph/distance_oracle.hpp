@@ -172,7 +172,8 @@ struct MemoryBudget {
   std::size_t bytes = 64u << 20;
 };
 
-/// Per-target BFS cache with LRU eviction over arena-slab rows.
+/// Per-target BFS cache with LRU eviction over arena-slab rows — the
+/// library's one row cache.
 ///
 /// Narrow storage widths (dist_slab.hpp) pack resident rows at 1 or 2 bytes
 /// per entry, so the same MemoryBudget keeps 4x (or 2x) more targets
@@ -180,7 +181,12 @@ struct MemoryBudget {
 /// in place: a hit is an LRU bump plus a refcount pin, whatever the width.
 /// A BFS row whose true distances exceed the width's max_finite throws
 /// std::invalid_argument.
-class TargetDistanceCache final : public DistanceOracle {
+///
+/// A miss fills its acquired slot through fill_row(), one BFS by default.
+/// Derived oracles whose rows are not a BFS (LandmarkOracle's triangle
+/// field) override that hook alone and inherit the LRU, the pins, the
+/// batched prefetch and the telemetry.
+class TargetDistanceCache : public DistanceOracle {
  public:
   /// `capacity` = number of target distance vectors kept alive in the cache.
   /// The arena holds capacity + 1 slots (slabs grow lazily towards it): the
@@ -243,6 +249,15 @@ class TargetDistanceCache final : public DistanceOracle {
   /// Drops every resident row (the full-flush reference path).
   void clear();
 
+ protected:
+  /// Writes `target`'s row into `dst` (n entries at width()); true when the
+  /// row saturates the width. Runs outside the cache lock, on the caller or
+  /// a pool worker, so it must not throw. The default is one BFS on the
+  /// calling thread's workspace.
+  [[nodiscard]] virtual bool fill_row(NodeId target, std::uint8_t* dst) const;
+
+  [[nodiscard]] const Graph& graph() const noexcept { return graph_; }
+
  private:
   struct Entry {
     std::list<NodeId>::iterator lru_it;
@@ -252,9 +267,8 @@ class TargetDistanceCache final : public DistanceOracle {
   /// Acquires row storage (arena slot, heap spill fallback).
   [[nodiscard]] std::shared_ptr<std::uint8_t> acquire_slot() const;
 
-  /// One BFS into a fresh row on the calling thread's workspace; an empty
-  /// handle when the row saturates the width (never throws, so pool tasks
-  /// may call it).
+  /// fill_row into a fresh slot; an empty handle when the row saturates the
+  /// width (never throws, so pool tasks may call it).
   [[nodiscard]] DistVecPtr compute_row(NodeId target) const;
 
   /// Inserts a freshly computed row as most recently used and evicts the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "graph/bfs_engine.hpp"
 #include "runtime/assert.hpp"
 #include "runtime/scratch_pool.hpp"
 
@@ -46,24 +47,23 @@ std::vector<NodeId> select_by_degree(const Graph& g, std::size_t k) {
 }  // namespace
 
 LandmarkOracle::LandmarkOracle(const Graph& g, LandmarkOptions options)
-    : graph_(g),
-      options_(options),
-      arena_(std::max<std::size_t>(options.row_cache_slots, 1) + 1,
-             g.num_nodes()) {
+    : TargetDistanceCache(g, kRowCacheSlots, DistWidth::kU32),
+      options_(options) {
   NAV_REQUIRE(g.num_nodes() > 0, "landmark oracle needs a non-empty graph");
   NAV_REQUIRE(options_.k >= 1, "landmark oracle needs k >= 1");
   // Rows start at u8 and widen when a landmark's sweep saturates, so they
   // end at width_for_bound of the largest landmark eccentricity. Selection
   // only reads exact distances, so a retry picks the same landmarks.
   while (!select_landmarks(g)) {
-    width_ = width_ == DistWidth::kU8 ? DistWidth::kU16 : DistWidth::kU32;
+    landmark_width_ = landmark_width_ == DistWidth::kU8 ? DistWidth::kU16
+                                                         : DistWidth::kU32;
   }
 }
 
 bool LandmarkOracle::select_landmarks(const Graph& g) {
   const std::size_t n = g.num_nodes();
   const std::size_t k = std::min(options_.k, n);
-  const std::size_t row_bytes = n * width_bytes(width_);
+  const std::size_t row_bytes = n * width_bytes(landmark_width_);
   rows_ = std::shared_ptr<std::uint8_t[]>(new std::uint8_t[k * row_bytes]);
   landmarks_.clear();
   BfsWorkspace& ws = local_bfs_workspace();
@@ -71,7 +71,7 @@ bool LandmarkOracle::select_landmarks(const Graph& g) {
   const auto add_landmark = [&](NodeId l) {
     const std::size_t i = landmarks_.size();
     landmarks_.push_back(l);
-    return !ws.row_into(g, l, width_, rows_.get() + i * row_bytes);
+    return !ws.row_into(g, l, landmark_width_, rows_.get() + i * row_bytes);
   };
 
   if (options_.selection == LandmarkSelection::kDegree) {
@@ -110,13 +110,14 @@ bool LandmarkOracle::select_landmarks(const Graph& g) {
 }
 
 DistRow LandmarkOracle::landmark_row(std::size_t i) const {
-  const std::size_t n = graph_.num_nodes();
-  return {rows_.get() + i * n * width_bytes(width_), n, width_};
+  const std::size_t n = graph().num_nodes();
+  return {rows_.get() + i * n * width_bytes(landmark_width_), n,
+          landmark_width_};
 }
 
-void LandmarkOracle::materialize_row(NodeId target,
-                                     std::span<Dist> row) const {
-  const std::size_t n = graph_.num_nodes();
+bool LandmarkOracle::fill_row(NodeId target, std::uint8_t* dst) const {
+  const std::size_t n = graph().num_nodes();
+  const std::span<Dist> row{reinterpret_cast<Dist*>(dst), n};
   std::fill(row.begin(), row.end(), kInfDist);
   for (std::size_t i = 0; i < landmarks_.size(); ++i) {
     const DistRow lrow = landmark_row(i);
@@ -130,62 +131,17 @@ void LandmarkOracle::materialize_row(NodeId target,
       }
     });
   }
-  // Exact-ball patch: overlay the true distances within exact_radius of the
+  // Exact-ball patch: overlay the true distances within kExactRadius of the
   // target. The estimate is an upper bound, so a min-merge IS replacement
-  // inside the ball — and it anchors row[target] = 0 even at radius 0.
+  // inside the ball — and it anchors row[target] = 0.
   auto& scratch = nav::thread_scratch<PatchScratch>();
   if (scratch.row.size() < n) scratch.row.resize(n);
   const std::span<Dist> patch{scratch.row.data(), n};
-  local_bfs_workspace().distances_into(graph_, target, patch,
-                                       options_.exact_radius);
+  local_bfs_workspace().distances_into(graph(), target, patch, kExactRadius);
   for (std::size_t u = 0; u < n; ++u) {
     if (patch[u] != kInfDist) row[u] = std::min(row[u], patch[u]);
   }
-}
-
-std::shared_ptr<Dist> LandmarkOracle::acquire_slot() const {
-  std::shared_ptr<Dist> slot = arena_.try_acquire();
-  if (slot == nullptr) {  // every slot pinned: spill to a plain heap row
-    slot = std::shared_ptr<Dist>(new Dist[graph_.num_nodes()],
-                                 std::default_delete<Dist[]>());
-  }
-  return slot;
-}
-
-Dist LandmarkOracle::distance(NodeId u, NodeId target) const {
-  // Via the row cache so point queries and row queries agree exactly
-  // (including the exact-ball patch).
-  return (*distances_to(target))[u];
-}
-
-DistVecPtr LandmarkOracle::distances_to(NodeId target) const {
-  NAV_ASSERT(target < graph_.num_nodes());
-  const std::size_t n = graph_.num_nodes();
-  {
-    std::lock_guard lock(mutex_);
-    const auto it = cache_.find(target);
-    if (it != cache_.end()) {
-      ++hits_;
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      return it->second.row;  // refcount copy: the zero-allocation warm hit
-    }
-    ++misses_;
-  }
-  std::shared_ptr<Dist> slot = acquire_slot();
-  materialize_row(target, {slot.get(), n});
-  DistVecPtr row{std::move(slot), n};
-  std::lock_guard lock(mutex_);
-  const auto it = cache_.find(target);
-  if (it != cache_.end()) return it->second.row;  // lost the race
-  lru_.push_front(target);
-  cache_.emplace(target, Entry{lru_.begin(), row});
-  const std::size_t capacity = std::max<std::size_t>(options_.row_cache_slots, 1);
-  while (cache_.size() > capacity) {
-    const NodeId victim = lru_.back();
-    lru_.pop_back();
-    cache_.erase(victim);
-  }
-  return row;
+  return false;  // u32 rows hold every finite sum of two distances
 }
 
 }  // namespace nav::graph

@@ -19,27 +19,24 @@
 //   * exact()-aware routers (greedy/lookahead) terminate cleanly at a stall
 //     instead of asserting strict descent;
 //   * the exact-ball patch: each materialised row overlays a bounded BFS
-//     from the target (radius `exact_radius`), making the field exact — and
+//     from the target (radius kExactRadius), making the field exact — and
 //     hence strictly descending — inside that ball, so routes that get near
 //     the target finish instead of orbiting it.
 //
-// Rows are materialised per target and LRU-cached over an arena
-// (runtime/arena.hpp), mirroring TargetDistanceCache's pin semantics: a warm
-// hit is a refcount copy, zero allocations.
+// Per-target rows come from the shared row cache: LandmarkOracle IS a u32
+// TargetDistanceCache whose fill_row hook writes the patched triangle field
+// instead of a BFS row. The LRU, pins, batched prefetch waves (misses farmed
+// across the pool) and the oracle.* telemetry are the cache's; a warm hit is
+// a refcount copy, zero allocations.
 #pragma once
 
 #include <cstddef>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
-#include "graph/bfs_engine.hpp"
 #include "graph/distance_oracle.hpp"
 #include "graph/graph.hpp"
-#include "runtime/arena.hpp"
 
 namespace nav::graph {
 
@@ -54,26 +51,21 @@ struct LandmarkOptions {
   /// Number of landmarks (clamped to the node count; must be >= 1).
   std::size_t k = 16;
   LandmarkSelection selection = LandmarkSelection::kFarthest;
-  /// Radius of the exact BFS patch overlaid on every materialised row
-  /// (0 disables everything but the row[t] = 0 anchor).
-  Dist exact_radius = 2;
-  /// LRU capacity for materialised target rows.
-  std::size_t row_cache_slots = 64;
 };
 
 /// Approximate distance oracle: min-over-landmarks triangle upper bound with
-/// an exact patch around each target. exact() is false — routers switch to
-/// stall-tolerant termination.
-class LandmarkOracle final : public DistanceOracle {
+/// an exact patch around each target, served through the shared row cache.
+/// exact() is false — routers switch to stall-tolerant termination.
+class LandmarkOracle final : public TargetDistanceCache {
  public:
+  /// Radius of the exact BFS patch overlaid on every materialised row.
+  static constexpr Dist kExactRadius = 2;
+  /// Row-cache capacity (materialised target rows kept resident).
+  static constexpr std::size_t kRowCacheSlots = 64;
+
   explicit LandmarkOracle(const Graph& g, LandmarkOptions options = {});
 
   [[nodiscard]] bool exact() const noexcept override { return false; }
-
-  /// The triangle upper bound (patched near the target): always
-  /// >= the true distance, equal at landmarks and inside the patch ball.
-  [[nodiscard]] Dist distance(NodeId u, NodeId target) const override;
-  [[nodiscard]] DistVecPtr distances_to(NodeId target) const override;
 
   /// The selected landmarks, in selection order.
   [[nodiscard]] std::span<const NodeId> landmarks() const noexcept {
@@ -82,44 +74,28 @@ class LandmarkOracle final : public DistanceOracle {
   [[nodiscard]] std::size_t num_landmarks() const noexcept {
     return landmarks_.size();
   }
-  [[nodiscard]] Dist exact_radius() const noexcept {
-    return options_.exact_radius;
-  }
   /// Storage width of the landmark rows: width_for_bound of the largest
-  /// landmark eccentricity.
-  [[nodiscard]] DistWidth width() const noexcept { return width_; }
-  /// Row-cache telemetry (mirrors TargetDistanceCache's accessors).
-  [[nodiscard]] std::size_t hits() const noexcept { return hits_; }
-  [[nodiscard]] std::size_t misses() const noexcept { return misses_; }
+  /// landmark eccentricity. (Materialised target rows are u32.)
+  [[nodiscard]] DistWidth width() const noexcept { return landmark_width_; }
+
+ protected:
+  /// Writes d̂(·, target) into the u32 row `dst`: min over landmarks, then
+  /// the exact-ball patch. Never saturates.
+  [[nodiscard]] bool fill_row(NodeId target, std::uint8_t* dst) const override;
 
  private:
-  struct Entry {
-    std::list<NodeId>::iterator lru_it;
-    DistVecPtr row;
-  };
-
-  /// Picks the landmarks and sweeps their rows at width_; false when a row
-  /// saturates (the caller widens and retries).
+  /// Picks the landmarks and sweeps their rows at landmark_width_; false
+  /// when a row saturates (the caller widens and retries).
   bool select_landmarks(const Graph& g);
   /// Landmark i's stored row.
   [[nodiscard]] DistRow landmark_row(std::size_t i) const;
-  /// Writes d̂(·, target) into `row`: min over landmarks, then the exact-ball
-  /// patch. Runs without the cache lock (BFS on the caller's workspace).
-  void materialize_row(NodeId target, std::span<Dist> row) const;
-  [[nodiscard]] std::shared_ptr<Dist> acquire_slot() const;
 
-  const Graph& graph_;
   LandmarkOptions options_;
   std::vector<NodeId> landmarks_;
-  /// k rows of n exact distances at width_, row-major in selection order.
+  /// k rows of n exact distances at landmark_width_, row-major in selection
+  /// order.
   std::shared_ptr<std::uint8_t[]> rows_;
-  DistWidth width_ = DistWidth::kU8;
-
-  mutable SlabArena<Dist> arena_;
-  mutable std::mutex mutex_;
-  mutable std::list<NodeId> lru_;  // front = most recently used
-  mutable std::unordered_map<NodeId, Entry> cache_;
-  mutable std::size_t hits_ = 0, misses_ = 0;
+  DistWidth landmark_width_ = DistWidth::kU8;
 };
 
 }  // namespace nav::graph

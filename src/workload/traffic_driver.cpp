@@ -93,8 +93,13 @@ WorkloadReport TrafficDriver::run(Rng rng) {
   // one service per scheme).
   const api::QueueStats before = service_.queue_stats();
   const std::size_t vsojourns_before = service_.virtual_sojourns().size();
-  const auto arrivals =
-      schedule_.arrival_times(options_.batches, rng.child(0xA881));
+  // The schedule's times are relative to the run: shifting them past the
+  // service's virtual horizon lets a virtual-time service serve a second
+  // run exactly as it served the first (a fresh or steady-time service
+  // has horizon 0, leaving the times untouched).
+  auto arrivals = schedule_.arrival_times(options_.batches, rng.child(0xA881));
+  const double vtime_origin = service_.virtual_horizon();
+  for (double& t : arrivals) t += vtime_origin;
   Rng gen_rng = rng.child(0x6e4);
 
   // Submission phase: generate and submit in arrival order, never waiting on

@@ -175,7 +175,9 @@ class TrafficDriver {
                 TrafficOptions options = {});
 
   /// Runs the full arrival process and waits for every future. One rng pins
-  /// the demand (see header comment for the stream layout).
+  /// the demand (see header comment for the stream layout). Arrivals start
+  /// at the service's virtual_horizon(), so repeat runs on one virtual-time
+  /// service see the same relative schedule.
   [[nodiscard]] WorkloadReport run(Rng rng);
 
  private:

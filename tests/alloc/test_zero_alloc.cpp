@@ -366,6 +366,29 @@ TEST(ZeroAlloc, WarmLandmarkHitAllocatesNothing) {
   EXPECT_GE(oracle.hits(), 2000u);
 }
 
+TEST(ZeroAlloc, WarmLandmarkWaveAllocatesNothing) {
+  // Landmark rows ride the shared row cache, so a warm all-hit landmark
+  // wave (duplicates included) is the cache's zero-allocation wave too.
+  const auto g = make_grid2d(32, 32);
+  const LandmarkOracle oracle(g, {});
+  const std::vector<NodeId> wave = {3, 500, 3, 1023, 77, 500};
+  std::vector<DistVecPtr> pinned;
+  oracle.prefetch_into(wave, pinned);  // the misses, scratch growth
+  oracle.prefetch_into(wave, pinned);  // warm: the all-hit shape itself
+
+  const std::uint64_t before = nav::allocation_count();
+  Dist sum = 0;
+  for (int i = 0; i < 100; ++i) {
+    oracle.prefetch_into(wave, pinned);
+    for (const auto& row : pinned) sum += (*row)[5];
+  }
+  const std::uint64_t after = nav::allocation_count();
+  EXPECT_EQ(after - before, 0u)
+      << "a warm all-hit landmark wave must perform zero heap allocations";
+  EXPECT_GT(sum, 0u);
+  EXPECT_EQ(oracle.misses(), 4u);  // only the first wave missed
+}
+
 TEST(ZeroAlloc, WarmMetricIncrementsAllocateNothing) {
   // The obs registry's hot-path contract: once this thread's shard exists
   // (created by the warm-up increments), counter inc, gauge set/add/set_max,

@@ -26,6 +26,28 @@ LandmarkOptions with_k(std::size_t k,
   return options;
 }
 
+/// The triangle field, from reference BFS rows, with the exact-ball patch of
+/// `radius` overlaid (radius 0 keeps only the row[t] = 0 anchor).
+std::vector<Dist> reference_field(const Graph& g, const LandmarkOracle& oracle,
+                                  NodeId target,
+                                  Dist radius = LandmarkOracle::kExactRadius) {
+  std::vector<Dist> row(g.num_nodes(), kInfDist);
+  for (const NodeId l : oracle.landmarks()) {
+    const auto from_l = bfs_distances_reference(g, l);
+    if (from_l[target] == kInfDist) continue;
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      if (from_l[u] != kInfDist) {
+        row[u] = std::min(row[u], from_l[u] + from_l[target]);
+      }
+    }
+  }
+  const auto patch = bfs_distances_reference(g, target, radius);
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    row[u] = std::min(row[u], patch[u]);
+  }
+  return row;
+}
+
 TEST(LandmarkOracle, IsAnUpperBoundEverywhere) {
   const auto g = make_grid2d(12, 10);
   const DistanceMatrix exact(g);
@@ -44,9 +66,7 @@ TEST(LandmarkOracle, IsAnUpperBoundEverywhere) {
 TEST(LandmarkOracle, ExactAtLandmarksAndInsidePatchBall) {
   const auto g = make_grid2d(12, 10);
   const DistanceMatrix exact(g);
-  LandmarkOptions options = with_k(5);
-  options.exact_radius = 3;
-  const LandmarkOracle approx(g, options);
+  const LandmarkOracle approx(g, with_k(5));
   const NodeId target = 57;
   const auto row = approx.distances_to(target);
   const auto truth = exact.distances_to(target);
@@ -55,12 +75,19 @@ TEST(LandmarkOracle, ExactAtLandmarksAndInsidePatchBall) {
     EXPECT_EQ((*row)[l], (*truth)[l]) << "landmark " << l;
     EXPECT_EQ(approx.distance(l, target), (*truth)[l]);
   }
-  // Inside the patch ball the overlay forces exactness.
+  // Inside the patch ball the overlay forces exactness; the ball is not
+  // trivially covered by the landmarks.
+  std::size_t patched_off_landmark = 0;
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    if ((*truth)[u] <= options.exact_radius) {
+    if ((*truth)[u] <= LandmarkOracle::kExactRadius) {
       EXPECT_EQ((*row)[u], (*truth)[u]) << "patched node " << u;
+      const auto ls = approx.landmarks();
+      if (std::find(ls.begin(), ls.end(), u) == ls.end()) {
+        ++patched_off_landmark;
+      }
     }
   }
+  EXPECT_GT(patched_off_landmark, 1u);
 }
 
 TEST(LandmarkOracle, PureFieldIsLipschitzAlongEdges) {
@@ -68,21 +95,22 @@ TEST(LandmarkOracle, PureFieldIsLipschitzAlongEdges) {
   // greedy descend without overshooting the target. This holds for the PURE
   // triangle field (each d(·, l) term is 1-Lipschitz, so the min is); the
   // exact-ball patch deliberately breaks it at the ball boundary in exchange
-  // for strict descent inside, so test with the patch off and skip the
-  // row[t] = 0 anchor's edges.
+  // for strict descent inside, so check the reference field without the
+  // patch (skipping the row[t] = 0 anchor's edges) — and that the oracle's
+  // row IS that field with the patch applied.
   const auto g = make_grid2d(9, 9);
-  LandmarkOptions options = with_k(4);
-  options.exact_radius = 0;
-  const LandmarkOracle approx(g, options);
+  const LandmarkOracle approx(g, with_k(4));
   const NodeId target = 40;
-  const auto row = approx.distances_to(target);
+  const auto pure = reference_field(g, approx, target, 0);
   for (const auto& [u, v] : g.edge_list()) {
     if (u == target || v == target) continue;
-    const auto du = (*row)[u];
-    const auto dv = (*row)[v];
+    const auto du = pure[u];
+    const auto dv = pure[v];
     ASSERT_LE(du > dv ? du - dv : dv - du, 1u)
         << "edge (" << u << ", " << v << ")";
   }
+  EXPECT_TRUE(*approx.distances_to(target) ==
+              reference_field(g, approx, target));
 }
 
 TEST(LandmarkOracle, IsDeterministicAndReportsExactFalse) {
@@ -110,26 +138,6 @@ TEST(LandmarkOracle, SelectionsDiffer) {
   const auto d = by_degree.landmarks();
   const auto f = farthest.landmarks();
   EXPECT_FALSE(std::equal(d.begin(), d.end(), f.begin(), f.end()));
-}
-
-/// The triangle field with the exact-ball patch, from reference BFS rows.
-std::vector<Dist> reference_field(const Graph& g, const LandmarkOracle& oracle,
-                                  NodeId target) {
-  std::vector<Dist> row(g.num_nodes(), kInfDist);
-  for (const NodeId l : oracle.landmarks()) {
-    const auto from_l = bfs_distances_reference(g, l);
-    if (from_l[target] == kInfDist) continue;
-    for (NodeId u = 0; u < g.num_nodes(); ++u) {
-      if (from_l[u] != kInfDist) {
-        row[u] = std::min(row[u], from_l[u] + from_l[target]);
-      }
-    }
-  }
-  const auto patch = bfs_distances_reference(g, target, oracle.exact_radius());
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    row[u] = std::min(row[u], patch[u]);
-  }
-  return row;
 }
 
 TEST(LandmarkOracle, RowsStoredAtNaturalWidth) {
@@ -190,17 +198,48 @@ TEST(LandmarkOracle, MoreLandmarksNeverWorsenTheBound) {
 }
 
 TEST(LandmarkOracle, RowCacheHitsAndMisses) {
-  const auto g = make_grid2d(8, 8);
-  LandmarkOptions options = with_k(4);
-  options.row_cache_slots = 2;
-  const LandmarkOracle approx(g, options);
+  const auto g = make_grid2d(12, 12);
+  const LandmarkOracle approx(g, with_k(4));
+  ASSERT_EQ(approx.capacity(), LandmarkOracle::kRowCacheSlots);
   (void)approx.distances_to(1);
   (void)approx.distances_to(1);
-  (void)approx.distances_to(2);
-  (void)approx.distances_to(3);  // evicts target 1
+  // kRowCacheSlots further targets fill the LRU and evict target 1.
+  for (NodeId t = 2; t < 2 + LandmarkOracle::kRowCacheSlots; ++t) {
+    (void)approx.distances_to(t);
+  }
   (void)approx.distances_to(1);  // re-materialises
-  EXPECT_EQ(approx.misses(), 4u);
+  EXPECT_EQ(approx.misses(), LandmarkOracle::kRowCacheSlots + 2);
   EXPECT_EQ(approx.hits(), 1u);
+}
+
+TEST(LandmarkOracle, PrefetchWaveMatchesPerTargetRows) {
+  // Landmark waves ride the shared cache's batched prefetch: duplicates
+  // share one row, residents are bumped rather than recomputed, and every
+  // row equals the per-target row and the reference field. Hit/miss
+  // accounting matches a plain TargetDistanceCache fed the same calls.
+  const auto g = make_grid2d(12, 10);
+  const LandmarkOracle approx(g, with_k(6));
+  const LandmarkOracle single(g, with_k(6));
+  TargetDistanceCache exact(g, LandmarkOracle::kRowCacheSlots);
+  (void)approx.distances_to(30);  // resident before the wave
+  (void)exact.distances_to(30);
+  const std::vector<NodeId> wave = {7, 30, 7, 99, 30, 64, 99, 7};
+  std::vector<DistVecPtr> rows;
+  approx.prefetch_into(wave, rows);
+  std::vector<DistVecPtr> exact_rows;
+  exact.prefetch_into(wave, exact_rows);
+  ASSERT_EQ(rows.size(), wave.size());
+  for (std::size_t i = 0; i < wave.size(); ++i) {
+    EXPECT_TRUE(*rows[i] == *single.distances_to(wave[i])) << "slot " << i;
+    EXPECT_TRUE(*rows[i] == reference_field(g, approx, wave[i]))
+        << "slot " << i;
+  }
+  EXPECT_EQ(approx.misses(), exact.misses());
+  EXPECT_EQ(approx.hits(), exact.hits());
+  EXPECT_EQ(approx.misses(), 4u);  // 30 before the wave; 7, 99, 64 in it
+  EXPECT_EQ(approx.hits(), 5u);    // resident 30 once + four duplicates
+  EXPECT_TRUE(rows[0] == rows[2] && rows[0] == rows[7]);  // one shared pin
+  EXPECT_TRUE(rows[1] == approx.peek(30));  // the resident row, not a copy
 }
 
 TEST(LandmarkOracle, RejectsDegenerateOptions) {

@@ -186,6 +186,46 @@ TEST(TrafficDriver, ShedAdmissionDropsAgedBatchesInVirtualTime) {
   EXPECT_EQ(again.pairs_admitted, report.pairs_admitted);
 }
 
+TEST(TrafficDriver, SecondRunOnOneVirtualTimeServiceRepeatsTheFirst) {
+  // Each run's arrivals start at the service's virtual horizon (past the
+  // last arrival and the instant the virtual server frees), so a second
+  // same-seed run on the same virtual-time service sees the same relative
+  // schedule and admits and sheds exactly what the first did.
+  const auto engine = make_engine();
+  RouteServiceOptions options;
+  options.admission = AdmissionPolicy::shed(0.1);
+  options.virtual_pair_cost_seconds = 0.0078125;
+  RouteService service(engine, options);
+  const auto workload = engine.make_workload("uniform", 1);
+  TrafficOptions traffic;
+  traffic.schedule = "burst:4:0.25";
+  traffic.batches = 8;
+  traffic.batch_size = 16;
+  traffic.keep_results = true;
+  TrafficDriver driver(service, *workload, traffic);
+  const auto first = driver.run(Rng(0x5ed));
+  const double horizon = service.virtual_horizon();
+  EXPECT_DOUBLE_EQ(horizon, 0.375);  // burst 2 arrives at 0.25, runs 0.125
+  const auto second = driver.run(Rng(0x5ed));
+
+  EXPECT_EQ(first.pairs_admitted, 2u * 16u);
+  EXPECT_EQ(first.pairs_shed, 6u * 16u);
+  EXPECT_EQ(second.pairs_admitted, first.pairs_admitted);
+  EXPECT_EQ(second.pairs_shed, first.pairs_shed);
+  EXPECT_EQ(second.queue.shed_batches, first.queue.shed_batches);
+  ASSERT_EQ(second.batches.size(), first.batches.size());
+  for (std::size_t b = 0; b < first.batches.size(); ++b) {
+    EXPECT_EQ(second.batches[b].shed, first.batches[b].shed) << b;
+    EXPECT_DOUBLE_EQ(second.batches[b].arrival_vtime,
+                     first.batches[b].arrival_vtime + horizon)
+        << b;
+    ASSERT_EQ(second.results[b].size(), first.results[b].size()) << b;
+    for (std::size_t i = 0; i < first.results[b].size(); ++i) {
+      EXPECT_EQ(second.results[b][i].steps, first.results[b][i].steps) << b;
+    }
+  }
+}
+
 TEST(TrafficDriver, AdaptiveAdmissionReportsDeterministicSloVerdict) {
   // Overload through the AIMD controller: every batch arrives at vtime 0,
   // the first admitted batch breaches the 0.05 s SLO (32 pairs * 2^-7 s =
