@@ -207,9 +207,12 @@ BENCHMARK(BM_DiameterDoubleSweep)->Arg(64)->Arg(256);
 // trips. Families straddle the direction-optimizing regimes: torus2d (high
 // diameter — the sweep stays top-down), hypercube and G(n,p) with mean degree
 // 8 (low diameter, exploding frontiers — the sweep flips bottom-up). The
-// "row" cells time BfsWorkspace::row_into at each storage width that holds
-// the family's diameter (bounded by twice an eccentricity, the oracle
-// factory's auto-width rule) — the kernel behind every oracle miss.
+// "reference" cells time the scalar sweep (bfs_distances_reference; row_into
+// runs the same scalar sweep on graphs under the size gate), the "diropt"
+// cells BfsWorkspace::row_into<Dist>, and the "row" cells row_into at each
+// storage width that holds the family's diameter (bounded by twice an
+// eccentricity, the oracle factory's auto-width rule) — the kernel behind
+// every oracle miss.
 void run_bfs_kernel_cells(bench::Harness& h) {
   using graph::Dist;
   using graph::DistWidth;
@@ -281,12 +284,8 @@ void run_bfs_kernel_cells(bench::Harness& h) {
         benchmark::DoNotOptimize(
             graph::bfs_distances_reference(g, source_at(i)));
       });
-      measure("workspace", nullptr, [&](std::size_t i) {
-        ws.distances_into_scalar(g, source_at(i), out);
-        benchmark::DoNotOptimize(out.data());
-      });
       measure("diropt", nullptr, [&](std::size_t i) {
-        ws.distances_into(g, source_at(i), out);  // the full sweep
+        benchmark::DoNotOptimize(ws.row_into<Dist>(g, source_at(i), out));
         benchmark::DoNotOptimize(out.data());
       });
 
@@ -307,13 +306,12 @@ void run_bfs_kernel_cells(bench::Harness& h) {
 
 // ---- M3: sweep-kind dispatch tallies ---------------------------------------
 // Deterministic STRICT cells: for each family x size a fresh workspace runs a
-// fixed mix of full and bounded sweeps, and the cell records how the engine's
-// dispatcher (radius promotion + direction-optimizing thresholds) classified
-// them, read back through BfsWorkspace::sweep_count(). Any change to the
-// cutover heuristics shows up as a strict metric diff in compare_bench.py
-// instead of a silent throughput cliff. The 2^8 size sits below
-// kDiroptMinNodes, so the scalar-full kind is exercised alongside diropt and
-// scalar-bounded.
+// fixed number of full sweeps (row_into<Dist>), and the cell records how the
+// engine's size gate (the direction-optimizing thresholds) classified them,
+// read back through BfsWorkspace::sweep_count(). Any change to the cutover
+// heuristics shows up as a strict metric diff in compare_bench.py instead of
+// a silent throughput cliff. The 2^8 size sits below kDiroptMinNodes, so the
+// scalar-full kind is exercised alongside diropt.
 void run_sweep_kind_cells(bench::Harness& h) {
   using graph::Dist;
   using graph::NodeId;
@@ -321,7 +319,6 @@ void run_sweep_kind_cells(bench::Harness& h) {
   std::vector<unsigned> exponents{8, 12};
   if (!h.quick()) exponents.push_back(16);
   constexpr std::size_t kFullSweeps = 3;
-  constexpr std::size_t kBoundedSweeps = 5;
 
   for (const unsigned e : exponents) {
     const auto n = NodeId{1} << e;
@@ -347,29 +344,20 @@ void run_sweep_kind_cells(bench::Harness& h) {
         return static_cast<NodeId>((i * 2654435761u) % g.num_nodes());
       };
       for (std::size_t i = 0; i < kFullSweeps; ++i) {
-        ws.distances_into(g, source_at(i), out);
-      }
-      for (std::size_t i = 0; i < kBoundedSweeps; ++i) {
-        ws.distances_into(g, source_at(i), out, Dist{4});
+        (void)ws.row_into<Dist>(g, source_at(i), out);
       }
 
       const auto diropt =
           ws.sweep_count(SweepKind::kDirectionOptimizing);
       const auto scalar_full = ws.sweep_count(SweepKind::kScalarFull);
-      const auto scalar_bounded = ws.sweep_count(SweepKind::kScalarBounded);
       h.add_cell({{"family", family},
                   {"kernel", std::string("dispatch")},
                   {"n", static_cast<double>(g.num_nodes())},
                   {"sweeps_diropt", static_cast<double>(diropt)},
-                  {"sweeps_scalar_full", static_cast<double>(scalar_full)},
-                  {"sweeps_scalar_bounded",
-                   static_cast<double>(scalar_bounded)}});
-      std::printf(
-          "  %-9s n=2^%-2u dispatch   diropt %llu  scalar_full %llu"
-          "  scalar_bounded %llu\n",
-          family.c_str(), e, static_cast<unsigned long long>(diropt),
-          static_cast<unsigned long long>(scalar_full),
-          static_cast<unsigned long long>(scalar_bounded));
+                  {"sweeps_scalar_full", static_cast<double>(scalar_full)}});
+      std::printf("  %-9s n=2^%-2u dispatch   diropt %llu  scalar_full %llu\n",
+                  family.c_str(), e, static_cast<unsigned long long>(diropt),
+                  static_cast<unsigned long long>(scalar_full));
     }
   }
 }

@@ -78,22 +78,12 @@ class ScopedStatsMirror {
   InvalidationStats before_;
 };
 
-// The make_oracle spec of each backend choice: u32 rows, default cache slots.
-const char* backend_spec(DynamicOracle::Backend backend) {
-  switch (backend) {
-    case DynamicOracle::Backend::kCache: return "cache";
-    case DynamicOracle::Backend::kMatrix: return "matrix";
-    case DynamicOracle::Backend::kAuto: break;
-  }
-  return "auto";
-}
-
 }  // namespace
 
 DynamicOracle::DynamicOracle(DynamicGraph& g, Options options)
     : graph_(g),
       options_(options),
-      backend_(graph::make_oracle(backend_spec(options.backend), g.graph())),
+      backend_(graph::make_oracle("auto", g.graph())),
       matrix_(dynamic_cast<graph::DistanceMatrix*>(backend_.get())),
       cache_(dynamic_cast<graph::TargetDistanceCache*>(backend_.get())) {
   NAV_ASSERT((matrix_ != nullptr) != (cache_ != nullptr));

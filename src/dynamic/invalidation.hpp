@@ -24,9 +24,8 @@
 //
 // DynamicOracle wraps either oracle backend behind the same
 // graph::DistanceOracle interface and subscribes to a DynamicGraph. The
-// backend comes from graph::make_oracle ("auto", "cache" or "matrix": u32
-// rows, 64 cache slots), so kAuto follows the one size rule,
-// graph::kDenseOracleLimit:
+// backend is graph::make_oracle("auto") (u32 rows, 64 cache slots), so it
+// follows the one size rule, graph::kDenseOracleLimit:
 //
 //   * TargetDistanceCache backend — invalidated residents are erased (their
 //     arena slots recycle; the next query lazily re-BFSes against the
@@ -97,24 +96,16 @@ class DynamicOracle final : public graph::DistanceOracle,
     kFullFlush     ///< reference: drop/recompute everything per mutation
   };
 
-  /// Storage strategy behind the oracle interface.
-  enum class Backend : std::uint8_t {
-    kAuto,    ///< make_oracle("auto"): matrix up to graph::kDenseOracleLimit
-    kCache,   ///< TargetDistanceCache (lazy repair)
-    kMatrix   ///< DistanceMatrix (eager in-place repair)
-  };
-
   /// Construction knobs.
   struct Options {
-    Mode mode = Mode::kIncremental;      ///< invalidation strategy
-    Backend backend = Backend::kAuto;    ///< storage selection
+    Mode mode = Mode::kIncremental;  ///< invalidation strategy
   };
 
   /// Builds the backend over g.graph() and subscribes to g (g must outlive
   /// the oracle).
   DynamicOracle(DynamicGraph& g, Options options);
 
-  /// Default options (kIncremental, kAuto backend).
+  /// Default options (kIncremental).
   explicit DynamicOracle(DynamicGraph& g) : DynamicOracle(g, Options{}) {}
 
   /// Unsubscribes from the graph.

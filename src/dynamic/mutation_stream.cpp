@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -280,11 +281,23 @@ std::vector<std::vector<EdgeMutation>> load_mutation_trace(
       throw std::invalid_argument(where + ": trace record missing field '" +
                                   std::string(key) + "'");
     };
-    const std::size_t step = static_cast<std::size_t>(uint_field("step"));
+    const auto node_field = [&](const char* key) -> NodeId {
+      const std::uint64_t id = uint_field(key);
+      if (id > std::numeric_limits<NodeId>::max()) {
+        throw std::invalid_argument(where + ": trace field '" + key + "' = " +
+                                    std::to_string(id) + " is not a node id");
+      }
+      return static_cast<NodeId>(id);
+    };
+    const std::uint64_t step = uint_field("step");
+    if (step > kMaxTraceStep) {
+      throw std::invalid_argument(where + ": trace step " +
+                                  std::to_string(step) + " exceeds " +
+                                  std::to_string(kMaxTraceStep));
+    }
     if (step >= steps.size()) steps.resize(step + 1);
     steps[step].push_back({parse_op_token(string_field("op"), where),
-                           static_cast<NodeId>(uint_field("u")),
-                           static_cast<NodeId>(uint_field("v"))});
+                           node_field("u"), node_field("v")});
   }
   return steps;
 }

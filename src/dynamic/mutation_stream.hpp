@@ -35,6 +35,7 @@
 /// \brief MutationStream: churn / failure / attack / trace-replay
 /// perturbation generators behind a spec-string registry.
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -89,9 +90,15 @@ struct MutationInfo {
 void save_mutation_trace(const std::string& path,
                          const std::vector<std::vector<EdgeMutation>>& steps);
 
+/// Largest step index a mutation trace may name: load_mutation_trace keeps
+/// one batch per step up to the last one named, so the bound caps its
+/// memory (about 24 MB of empty batches).
+inline constexpr std::uint64_t kMaxTraceStep = 1'000'000;
+
 /// Parses a JSONL mutation trace back into per-step batches (index = step).
 /// Throws std::runtime_error when the file can't be opened and
-/// std::invalid_argument on malformed lines.
+/// std::invalid_argument on malformed lines, on a "u"/"v" that does not fit
+/// a NodeId and on a step above kMaxTraceStep (each "<path>:<line>: ...").
 [[nodiscard]] std::vector<std::vector<EdgeMutation>> load_mutation_trace(
     const std::string& path);
 

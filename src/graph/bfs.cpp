@@ -11,17 +11,14 @@ namespace nav::graph {
 
 std::vector<Dist> bfs_distances(const Graph& g, NodeId source) {
   std::vector<Dist> dist(g.num_nodes());
-  local_bfs_workspace().distances_into(g, source, dist);
+  // A Dist row never saturates.
+  (void)local_bfs_workspace().row_into<Dist>(g, source, dist);
   return dist;
 }
 
 std::vector<NodeId> ball(const Graph& g, NodeId center, Dist radius) {
   const auto view = local_bfs_workspace().ball(g, center, radius);
   return {view.order.begin(), view.order.end()};
-}
-
-FarthestResult farthest_node(const Graph& g, NodeId source) {
-  return local_bfs_workspace().farthest(g, source);
 }
 
 }  // namespace nav::graph

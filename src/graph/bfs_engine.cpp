@@ -17,14 +17,11 @@ namespace {
 struct BfsMetrics {
   obs::Counter sweep_diropt;
   obs::Counter sweep_scalar_full;
-  obs::Counter sweep_scalar_bounded;
 
   BfsMetrics()
       : sweep_diropt(obs::default_registry().counter("bfs.sweep_diropt")),
         sweep_scalar_full(
-            obs::default_registry().counter("bfs.sweep_scalar_full")),
-        sweep_scalar_bounded(
-            obs::default_registry().counter("bfs.sweep_scalar_bounded")) {}
+            obs::default_registry().counter("bfs.sweep_scalar_full")) {}
 };
 
 BfsMetrics& bfs_metrics() {
@@ -115,59 +112,10 @@ void BfsWorkspace::mark(NodeId v) {
 void BfsWorkspace::count_sweep(SweepKind kind) {
   last_sweep_kind_ = kind;
   ++sweep_tally_[static_cast<std::size_t>(kind)];
-  switch (kind) {
-    case SweepKind::kDirectionOptimizing:
-      bfs_metrics().sweep_diropt.inc();
-      break;
-    case SweepKind::kScalarFull:
-      bfs_metrics().sweep_scalar_full.inc();
-      break;
-    default:
-      bfs_metrics().sweep_scalar_bounded.inc();
-      break;
-  }
-}
-
-void BfsWorkspace::distances_into(const Graph& g, NodeId source,
-                                  std::span<Dist> out, Dist radius) {
-  const std::size_t n = g.num_nodes();
-  // A finite radius >= n-1 can never bind (every finite distance is at most
-  // n-1), so promote it to the unbounded sweep: callers passing a "huge"
-  // radius get the full kernel instead of silently paying a bounded scan of
-  // the entire graph. last_sweep_kind() exposes the decision.
-  if (radius != kInfDist && n > 0 &&
-      std::uint64_t{radius} >= std::uint64_t{n - 1}) {
-    radius = kInfDist;
-  }
-  if (radius == kInfDist) {
-    (void)row_into(g, source, out);  // a Dist row never saturates
-    return;
-  }
-  count_sweep(SweepKind::kScalarBounded);
-  distances_into_scalar(g, source, out, radius);
-}
-
-void BfsWorkspace::distances_into_scalar(const Graph& g, NodeId source,
-                                         std::span<Dist> out, Dist radius) {
-  NAV_REQUIRE(source < g.num_nodes(), "BFS source out of range");
-  NAV_REQUIRE(out.size() == g.num_nodes(), "distance output size mismatch");
-  // The output doubles as the visited set (unvisited == kInfDist), so the
-  // dense kernels need no stamps — only the reusable queue.
-  std::fill(out.begin(), out.end(), kInfDist);
-  queue_.clear();
-  out[source] = 0;
-  queue_.push_back(source);
-  std::size_t head = 0;
-  while (head < queue_.size()) {
-    const NodeId u = queue_[head++];
-    const Dist du = out[u];
-    if (du >= radius) continue;  // children would exceed the radius
-    for (const NodeId v : g.neighbors(u)) {
-      if (out[v] == kInfDist) {
-        out[v] = du + 1;
-        queue_.push_back(v);
-      }
-    }
+  if (kind == SweepKind::kDirectionOptimizing) {
+    bfs_metrics().sweep_diropt.inc();
+  } else {
+    bfs_metrics().sweep_scalar_full.inc();
   }
 }
 

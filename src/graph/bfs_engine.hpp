@@ -5,7 +5,18 @@
 // B(u, 2^k) millions of times, diameter/pathshape sweep all sources, and
 // lookahead routers multiply distance queries per hop. The hot paths
 // (oracle, schemes, workloads, decomposition measures) call this engine
-// directly; the few free functions in bfs.hpp are thin wrappers over it.
+// directly; the two free functions in bfs.hpp are thin wrappers over it.
+//
+// Three kernels, one per shape of answer:
+//
+//   * row_into<T> — a full distance row (every node, unreached at the
+//     sentinel) at its storage width: uint8_t / uint16_t / Dist, see
+//     dist_slab.hpp. The oracles fill their rows with it.
+//   * ball — B(center, radius) in BFS order, with |B| at power-of-two
+//     depths: the ball scheme's sampling domain, the landmark oracle's
+//     exact patch B(t, 2).
+//   * farthest — the farthest reachable node and the source's eccentricity
+//     (diameter sweeps, the double-sweep heuristic).
 //
 // Design:
 //
@@ -17,16 +28,13 @@
 //     arrays are re-zeroed once, keeping the reset amortised O(1) and the
 //     stale-stamp collision impossible (tested by a >2^16-iteration stress).
 //
-//   * One full-sweep kernel, row_into<T>, writes a distance row at its
-//     storage width (uint8_t / uint16_t / Dist, see dist_slab.hpp) straight
-//     into the caller's span — an arena slot, a DistanceMatrix slab row —
-//     using the row itself as the visited set. distances_into is its Dist
-//     instance; the oracles call it at their slab width. It reports
-//     saturation (a reachable node beyond the width's max_finite) exactly,
-//     and a warm workspace performs ZERO heap allocations per sweep (proven
-//     by the counting-allocator test).
+//   * row_into writes straight into the caller's span — an arena slot, a
+//     DistanceMatrix slab row — using the row itself as the visited set. It
+//     reports saturation (a reachable node beyond the width's max_finite)
+//     exactly, and a warm workspace performs ZERO heap allocations per sweep
+//     (proven by the counting-allocator test).
 //
-//   * On graphs past the size gate the kernel is direction-optimizing
+//   * On graphs past the size gate row_into is direction-optimizing
 //     (Beamer et al., "Direction-Optimizing Breadth-First Search"): when the
 //     frontier's out-edges exceed 1/alpha of the unexplored edges the sweep
 //     flips to bottom-up — every unvisited node probes its neighbours, eight
@@ -37,11 +45,12 @@
 //     queue (which then holds every visited node in level order) when that
 //     bound first passes. On low-diameter families (hypercube, G(n,p)) the
 //     flip is worth 2-4x; high-diameter ones (torus, grid) never flip and
-//     pay only the plain top-down sweep. Rows are byte-identical under any
-//     schedule by level synchronisation (differential-tested across
-//     families and widths).
+//     pay only the plain top-down sweep. Under the gate it is the plain
+//     scalar top-down sweep. Rows are byte-identical under any schedule by
+//     level synchronisation (differential-tested across families and
+//     widths).
 //
-//   * Sparse kernels (ball / farthest) never touch O(n) output: cost is
+//   * The sparse kernels (ball / farthest) never touch O(n) output: cost is
 //     O(|visited| + |edges scanned|) via the epoch stamps.
 //     This is what makes the ball scheme's inner sampling loop cheap: ball()
 //     also reports |B| at power-of-two depths and can stop after a given
@@ -71,6 +80,14 @@
 #include "graph/graph.hpp"
 
 namespace nav::graph {
+
+/// Farthest node from a source (smallest id among ties) and its distance:
+/// BfsWorkspace::farthest's answer, the building block of the double-sweep
+/// diameter heuristic.
+struct FarthestResult {
+  NodeId node = kNoNode;
+  Dist distance = 0;
+};
 
 class BfsWorkspace {
  public:
@@ -107,12 +124,11 @@ class BfsWorkspace {
   /// contents are invalidated by any kernel call on this workspace).
   [[nodiscard]] std::vector<NodeId>& queue() noexcept { return queue_; }
 
-  // ---- dense kernels (write a full distance array) -----------------------
-  /// Which kernel the last dense sweep on this workspace dispatched to —
-  /// the observable surface of the sparse/dense cutover (tests pin it).
+  // ---- dense kernel (writes a full distance row) -------------------------
+  /// How the last row_into on this workspace ran — the observable surface
+  /// of the size gate (tests pin it).
   enum class SweepKind : std::uint8_t {
     kNone,                 ///< no dense sweep yet
-    kScalarBounded,        ///< frontier-bounded scalar kernel (binding radius)
     kScalarFull,           ///< top-down full sweep (graph under the gate)
     kDirectionOptimizing,  ///< full sweep past the gate (may flip bottom-up)
   };
@@ -120,7 +136,7 @@ class BfsWorkspace {
     return last_sweep_kind_;
   }
 
-  /// Cumulative dense sweeps dispatched to `kind` on this workspace since
+  /// Cumulative row_into sweeps of `kind` on this workspace since
   /// construction — the per-instance tally behind last_sweep_kind(), and the
   /// surface bench_micro's strict sweep-kind gate cells read. Mirrored into
   /// the process-wide `bfs.sweep_*` registry counters.
@@ -128,27 +144,15 @@ class BfsWorkspace {
     return sweep_tally_[static_cast<std::size_t>(kind)];
   }
 
-  /// Top-down -> bottom-up switches in the last full sweep (row_into or
-  /// distances_into without a binding radius), and the levels it expanded
-  /// bottom-up: both 0 under the size gate and on graphs whose frontiers
-  /// never explode. Tests pin the flip schedule with them.
+  /// Top-down -> bottom-up switches in the last row_into, and the levels it
+  /// expanded bottom-up: both 0 under the size gate and on graphs whose
+  /// frontiers never explode. Tests pin the flip schedule with them.
   [[nodiscard]] std::uint32_t last_flip_count() const noexcept {
     return last_flips_;
   }
   [[nodiscard]] std::uint32_t last_bottom_up_levels() const noexcept {
     return last_bottom_up_levels_;
   }
-
-  /// Single-source distances into out (size n; unreached entries get
-  /// kInfDist). radius == kInfDist runs the full sweep, row_into<Dist>; a
-  /// finite radius runs the frontier-bounded scalar kernel (nodes farther
-  /// than radius keep kInfDist). A finite radius >= n-1 can never bind (all
-  /// finite distances are <= n-1), so it is explicitly promoted to the full
-  /// sweep instead of silently degrading to a bounded scan of the whole
-  /// graph — last_sweep_kind() exposes the decision. Zero allocations once
-  /// warm.
-  void distances_into(const Graph& g, NodeId source, std::span<Dist> out,
-                      Dist radius = kInfDist);
 
   /// The full sweep at a row's storage width: T is std::uint8_t,
   /// std::uint16_t or Dist, and out (size n) gets d(source, v) with
@@ -164,12 +168,6 @@ class BfsWorkspace {
   /// row_into at a runtime width: dst holds n * width_bytes(width) bytes.
   bool row_into(const Graph& g, NodeId source, DistWidth width,
                 std::uint8_t* dst);
-
-  /// The frontier-bounded scalar kernel behind finite-radius
-  /// distances_into — public so differential tests and bench_micro can
-  /// run it at any radius.
-  void distances_into_scalar(const Graph& g, NodeId source, std::span<Dist> out,
-                             Dist radius = kInfDist);
 
   // ---- sparse kernels (cost O(|ball|), no O(n) output) -------------------
   /// No cap on the members ball() discovers.
@@ -213,7 +211,7 @@ class BfsWorkspace {
   SweepKind last_sweep_kind_ = SweepKind::kNone;
   std::uint32_t last_flips_ = 0;
   std::uint32_t last_bottom_up_levels_ = 0;
-  std::uint64_t sweep_tally_[4] = {0, 0, 0, 0};  // indexed by SweepKind
+  std::uint64_t sweep_tally_[3] = {0, 0, 0};  // indexed by SweepKind
   std::vector<NodeId> queue_;
   // row_into's level queue: grow-only, sized to n, indexed by a tail counter.
   std::vector<NodeId> row_queue_;

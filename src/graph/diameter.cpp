@@ -30,8 +30,9 @@ Dist double_sweep_lower_bound(const Graph& g) { return peripheral_pair(g).distan
 
 NodePair peripheral_pair(const Graph& g) {
   NAV_REQUIRE(g.num_nodes() >= 1, "peripheral_pair on empty graph");
-  const auto first = farthest_node(g, 0);
-  const auto second = farthest_node(g, first.node);
+  BfsWorkspace& ws = local_bfs_workspace();
+  const auto first = ws.farthest(g, 0);
+  const auto second = ws.farthest(g, first.node);
   return {first.node, second.node, second.distance};
 }
 

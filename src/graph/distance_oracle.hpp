@@ -128,18 +128,9 @@ class DistanceMatrix final : public DistanceOracle {
   /// Storage width of the backing slab.
   [[nodiscard]] DistWidth width() const noexcept { return width_; }
 
-  /// The backing slab: n*n entries, row-major by target. Determinism tests
-  /// hash this to pin worker-count independence byte for byte. Only the
-  /// default u32 storage exposes Dist entries directly; narrow matrices
-  /// throw (use packed_slab()).
-  [[nodiscard]] std::span<const Dist> slab() const {
-    NAV_REQUIRE(width_ == DistWidth::kU32,
-                "slab() needs u32 storage; narrow widths expose packed_slab()");
-    return {reinterpret_cast<const Dist*>(slab_.get()),
-            static_cast<std::size_t>(n_) * n_};
-  }
-
-  /// The packed backing bytes at any width (n*n*width_bytes(width())).
+  /// The packed backing bytes at any width (n*n*width_bytes(width())),
+  /// row-major by target. Determinism tests hash this to pin worker-count
+  /// independence byte for byte.
   [[nodiscard]] std::span<const std::uint8_t> packed_slab() const noexcept;
 
   /// Recomputes the given targets' rows in place against `g` (which must

@@ -6,6 +6,8 @@
 namespace nav::graph {
 
 Graph::Graph(NodeId n, std::vector<std::pair<NodeId, NodeId>> edges) : n_(n) {
+  // kNoNode is the "no node" sentinel, and n_ + 1 offsets must not wrap.
+  NAV_REQUIRE(n < kNoNode, "node count too large");
   for (auto& [u, v] : edges) {
     NAV_REQUIRE(u < n_ && v < n_, "edge endpoint out of range");
     NAV_REQUIRE(u != v, "self loops are not allowed");

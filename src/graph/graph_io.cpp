@@ -110,7 +110,7 @@ ParsedEdges parse_nav_graph(LineScanner& scan, const std::string& first_line,
   if (count != 2 || tok[0] != "n") scan.fail("bad 'n <count>' line");
   ParsedEdges result;
   result.n = parse_id(tok[1], scan, "node count");
-  if (result.n > kNoNode) scan.fail("node count too large");
+  if (result.n >= kNoNode) scan.fail("node count too large");
   while (scan.next(line)) {
     count = tokenize(line, tok, 4);
     if (count != 2) scan.fail("bad edge line (expected '<u> <v>')");
@@ -146,7 +146,7 @@ ParsedEdges parse_dimacs(LineScanner& scan, std::string first_line) {
       result.n = parse_id(tok[2], scan, "node count");
       parse_id(tok[3], scan, "edge count");  // validated, not enforced
       if (result.n == 0) scan.fail("node count must be >= 1");
-      if (result.n > kNoNode) scan.fail("node count too large");
+      if (result.n >= kNoNode) scan.fail("node count too large");
       have_problem = true;
       continue;
     }
@@ -181,7 +181,7 @@ ParsedEdges parse_snap(LineScanner& scan, const std::string& first_line) {
   const auto id_of = [&](std::uint64_t raw) {
     const auto [it, inserted] =
         remap.emplace(raw, static_cast<NodeId>(remap.size()));
-    if (inserted && remap.size() > static_cast<std::size_t>(kNoNode)) {
+    if (inserted && remap.size() >= static_cast<std::size_t>(kNoNode)) {
       scan.fail("too many distinct node ids");
     }
     return it->second;

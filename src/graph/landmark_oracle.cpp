@@ -5,18 +5,10 @@
 
 #include "graph/bfs_engine.hpp"
 #include "runtime/assert.hpp"
-#include "runtime/scratch_pool.hpp"
 
 namespace nav::graph {
 
 namespace {
-
-// Per-thread Dist scratch for the exact-ball patch BFS: the bounded kernel
-// writes the FULL span (unreached nodes get kInfDist), so it must not run
-// directly on the row being materialised.
-struct PatchScratch {
-  std::vector<Dist> row;
-};
 
 NodeId max_degree_node(const Graph& g) {
   NodeId best = 0;
@@ -132,14 +124,15 @@ bool LandmarkOracle::fill_row(NodeId target, std::uint8_t* dst) const {
     });
   }
   // Exact-ball patch: overlay the true distances within kExactRadius of the
-  // target. The estimate is an upper bound, so a min-merge IS replacement
-  // inside the ball — and it anchors row[target] = 0.
-  auto& scratch = nav::thread_scratch<PatchScratch>();
-  if (scratch.row.size() < n) scratch.row.resize(n);
-  const std::span<Dist> patch{scratch.row.data(), n};
-  local_bfs_workspace().distances_into(graph(), target, patch, kExactRadius);
-  for (std::size_t u = 0; u < n; ++u) {
-    if (patch[u] != kInfDist) row[u] = std::min(row[u], patch[u]);
+  // target, read off B(t, 2) by level — the target at 0, the members up to
+  // |B(t, 1)| at 1, the rest at 2. The estimate is an upper bound, so
+  // overwriting IS the min-merge inside the ball, and it anchors
+  // row[target] = 0.
+  static_assert(kExactRadius == 2, "the patch reads two levels off ball()");
+  const auto patch = local_bfs_workspace().ball(graph(), target, kExactRadius);
+  const std::size_t within_one = patch.pow2_sizes[0];
+  for (std::size_t i = 0; i < patch.order.size(); ++i) {
+    row[patch.order[i]] = i == 0 ? 0 : (i < within_one ? 1 : 2);
   }
   return false;  // u32 rows hold every finite sum of two distances
 }

@@ -18,10 +18,12 @@
 // minimum where no neighbour improves. Two mitigations, both here:
 //   * exact()-aware routers (greedy/lookahead) terminate cleanly at a stall
 //     instead of asserting strict descent;
-//   * the exact-ball patch: each materialised row overlays a bounded BFS
-//     from the target (radius kExactRadius), making the field exact — and
-//     hence strictly descending — inside that ball, so routes that get near
-//     the target finish instead of orbiting it.
+//   * the exact-ball patch: each materialised row overlays the true
+//     distances on the ball B(t, kExactRadius), read by level off the
+//     engine's ball kernel (BfsWorkspace::ball, cost O(|B(t, 2)|), no
+//     second n-entry row), making the field exact — and hence strictly
+//     descending — inside that ball, so routes that get near the target
+//     finish instead of orbiting it.
 //
 // Per-target rows come from the shared row cache: LandmarkOracle IS a u32
 // TargetDistanceCache whose fill_row hook writes the patched triangle field
@@ -75,12 +77,15 @@ class LandmarkOracle final : public TargetDistanceCache {
     return landmarks_.size();
   }
   /// Storage width of the landmark rows: width_for_bound of the largest
-  /// landmark eccentricity. (Materialised target rows are u32.)
-  [[nodiscard]] DistWidth width() const noexcept { return landmark_width_; }
+  /// landmark eccentricity. (Materialised target rows are u32: that is
+  /// width(), the row cache's.)
+  [[nodiscard]] DistWidth landmark_width() const noexcept {
+    return landmark_width_;
+  }
 
  protected:
   /// Writes d̂(·, target) into the u32 row `dst`: min over landmarks, then
-  /// the exact-ball patch. Never saturates.
+  /// the exact distances on B(target, kExactRadius). Never saturates.
   [[nodiscard]] bool fill_row(NodeId target, std::uint8_t* dst) const override;
 
  private:

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -322,6 +323,11 @@ std::vector<Pair> load_trace(const std::string& path) {
       for (const auto& f : record) {
         if (f.key == key) {
           if (const auto* v = std::get_if<std::uint64_t>(&f.value)) {
+            if (*v > std::numeric_limits<graph::NodeId>::max()) {
+              throw std::invalid_argument(
+                  path + ":" + std::to_string(line_number) + ": trace field '" +
+                  key + "' = " + std::to_string(*v) + " is not a node id");
+            }
             return static_cast<graph::NodeId>(*v);
           }
           throw std::invalid_argument(path + ":" +

@@ -104,7 +104,8 @@ struct WorkloadInfo {
 void save_trace(const std::string& path, const std::vector<Pair>& pairs);
 
 /// Parses a JSONL trace file. Throws std::runtime_error when the file can't
-/// be opened and std::invalid_argument on malformed lines.
+/// be opened and std::invalid_argument on malformed lines and on an "s"/"t"
+/// that does not fit a NodeId (each "<path>:<line>: ...").
 [[nodiscard]] std::vector<Pair> load_trace(const std::string& path);
 
 }  // namespace nav::workload

@@ -38,17 +38,15 @@ TEST(ZeroAlloc, WarmWorkspaceKernelsAllocateNothing) {
   BfsWorkspace ws;
   std::vector<Dist> out(g.num_nodes());
   // Warm-up: grows the queue, stamps, and direction-optimizing bitmaps.
-  ws.distances_into(g, 0, out);
-  ws.distances_into_scalar(g, 0, out);
+  (void)ws.row_into<Dist>(g, 0, out);
   (void)ws.ball(g, 100, 5);
   (void)ws.farthest(g, 7);
 
   const std::uint64_t before = nav::allocation_count();
   for (NodeId s = 0; s < 32; ++s) {
-    ws.distances_into(g, s, out);              // direction-optimizing sweep
-    ws.distances_into_scalar(g, s, out, 6);    // bounded scalar sweep
-    (void)ws.ball(g, s, 4);                    // sparse ball
-    (void)ws.farthest(g, s);                   // sparse eccentricity sweep
+    (void)ws.row_into<Dist>(g, s, out);  // direction-optimizing sweep
+    (void)ws.ball(g, s, 4);              // sparse ball
+    (void)ws.farthest(g, s);             // sparse eccentricity sweep
   }
   const std::uint64_t after = nav::allocation_count();
   EXPECT_EQ(after - before, 0u)
@@ -249,7 +247,7 @@ TEST(ZeroAlloc, ParallelMissWavesRecycleArenaRows) {
     pool.submit([&] {
       all_started.arrive_and_wait();
       std::vector<Dist> row(g.num_nodes());
-      local_bfs_workspace().distances_into(g, 0, row);
+      (void)local_bfs_workspace().row_into<Dist>(g, 0, row);
       all_warm.count_down();
     });
   }

@@ -18,6 +18,7 @@
 #include "core/scheme_factory.hpp"
 #include "dynamic/mutation_stream.hpp"
 #include "graph/families.hpp"
+#include "graph/oracle_factory.hpp"
 #include "routing/router_factory.hpp"
 #include "workload/traffic_driver.hpp"
 #include "workload/workload.hpp"
@@ -37,9 +38,16 @@ bool rows_equal(const graph::DistVecPtr& a, const graph::DistVecPtr& b) {
   return *a == *b;
 }
 
+// Node counts on each side of the "auto" size rule: DynamicOracle keeps a
+// DistanceMatrix up to graph::kDenseOracleLimit nodes and a
+// TargetDistanceCache past it.
+constexpr NodeId kMatrixNodes = 256;
+constexpr NodeId kCacheNodes = 5000;
+
 struct DifferentialOutcome {
   InvalidationStats incremental;
   InvalidationStats full_flush;
+  NodeId nodes = 0;  ///< the built graph's size (families round n)
 };
 
 // Drives one (family, churn) cell: the same mutation trajectory applied to
@@ -48,8 +56,7 @@ struct DifferentialOutcome {
 // against each other and against a cold rebuild.
 DifferentialOutcome run_differential(const std::string& family,
                                      const std::string& churn_spec,
-                                     DynamicOracle::Backend backend,
-                                     NodeId n = 256) {
+                                     NodeId n = kMatrixNodes) {
   Rng graph_rng_a(0x1D);
   Rng graph_rng_b(0x1D);
   DynamicGraph dyn_inc(graph::family(family).make(n, graph_rng_a));
@@ -57,14 +64,13 @@ DifferentialOutcome run_differential(const std::string& family,
 
   DynamicOracle::Options inc_options;
   inc_options.mode = DynamicOracle::Mode::kIncremental;
-  inc_options.backend = backend;
   DynamicOracle oracle_inc(dyn_inc, inc_options);
 
   DynamicOracle::Options flush_options;
   flush_options.mode = DynamicOracle::Mode::kFullFlush;
-  flush_options.backend = backend;
   DynamicOracle oracle_flush(dyn_flush, flush_options);
 
+  n = dyn_inc.graph().num_nodes();
   auto stream = make_mutation_stream(churn_spec);
   const std::vector<NodeId> probes = {0, static_cast<NodeId>(n / 3),
                                       static_cast<NodeId>(n / 2),
@@ -96,7 +102,7 @@ DifferentialOutcome run_differential(const std::string& family,
           << target;
     }
   }
-  return {oracle_inc.stats(), oracle_flush.stats()};
+  return {oracle_inc.stats(), oracle_flush.stats(), n};
 }
 
 class InvalidationDifferential
@@ -104,9 +110,11 @@ class InvalidationDifferential
 
 TEST_P(InvalidationDifferential, MatchesFullFlushAndColdRebuild) {
   const auto& [family, churn] = GetParam();
-  for (const auto backend :
-       {DynamicOracle::Backend::kMatrix, DynamicOracle::Backend::kCache}) {
-    const auto outcome = run_differential(family, churn, backend);
+  for (const NodeId n : {kMatrixNodes, kCacheNodes}) {
+    const auto outcome = run_differential(family, churn, n);
+    // Each size lands on its intended side of the size rule.
+    EXPECT_EQ(outcome.nodes <= graph::kDenseOracleLimit, n == kMatrixNodes)
+        << family << " built " << outcome.nodes << " nodes";
     EXPECT_EQ(outcome.incremental.mutations_seen,
               outcome.full_flush.mutations_seen);
     // The reference drops everything each mutation; the tightness test must
@@ -134,8 +142,8 @@ TEST(Invalidation, TightnessRetainsRowsAFlushWouldDrop) {
   // both chord endpoints on equal BFS levels only rarely, so slack events
   // exist and retention is observable. churn:1 over many steps guarantees
   // some slack event hits a resident row.
-  const auto outcome = run_differential("torus2d", "churn:1",
-                                        DynamicOracle::Backend::kMatrix, 1024);
+  const auto outcome = run_differential("torus2d", "churn:1", 1024);
+  ASSERT_LE(outcome.nodes, graph::kDenseOracleLimit);  // matrix backend
   EXPECT_GT(outcome.incremental.targets_retained, 0u);
   EXPECT_LT(outcome.incremental.targets_invalidated,
             outcome.full_flush.targets_invalidated);
@@ -166,8 +174,9 @@ TEST(Invalidation, TightnessTestDecodesNarrowSentinels) {
 TEST(Invalidation, FailStreamDisconnectionStaysExact) {
   // Heavy one-shot failure can disconnect the graph: rows must agree with
   // the cold rebuild including kInfDist entries.
-  const auto outcome = run_differential("random_tree", "fail:0.3",
-                                        DynamicOracle::Backend::kCache, 128);
+  const auto outcome =
+      run_differential("random_tree", "fail:0.3", kCacheNodes);
+  ASSERT_GT(outcome.nodes, graph::kDenseOracleLimit);  // cache backend
   EXPECT_GE(outcome.incremental.mutations_seen, 1u);
 }
 
@@ -178,9 +187,7 @@ TEST(Invalidation, WatermarkSurvivesEpochWraparound) {
   constexpr NodeId n = 32;
   Rng graph_rng(3);
   DynamicGraph dyn(graph::family("cycle").make(n, graph_rng));
-  DynamicOracle::Options options;
-  options.backend = DynamicOracle::Backend::kMatrix;
-  DynamicOracle oracle(dyn, options);
+  DynamicOracle oracle(dyn);  // 32 nodes: the matrix backend
   (void)oracle.distances_to(0);
 
   const std::uint16_t watermark_before = oracle.watermark();

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -162,6 +163,58 @@ TEST(TraceStream, SaveLoadRoundTripAndReplay) {
   EXPECT_TRUE(stream->step(dyn, rng).empty());
   stream->reset();
   EXPECT_TRUE(same_events(stream->step(dyn, rng), steps[0]));
+  std::remove(path.c_str());
+}
+
+TEST(TraceStream, RejectsWideIdsAndStepsPastTheBound) {
+  // Ids must fit a NodeId (a cast would replay 2^32 as node 0), and a step
+  // index above kMaxTraceStep is refused before the per-step batches are
+  // resized (2^64 - 1 + 1 would wrap to an empty vector). Each error names
+  // the file and line.
+  const std::string path = ::testing::TempDir() + "wide_mutation_trace.jsonl";
+  const auto message_for = [&](const std::string& second_line) {
+    {
+      std::ofstream out(path);
+      out << R"({"step": 0, "op": "add", "u": 0, "v": 1})" << "\n"
+          << second_line << "\n";
+    }
+    try {
+      (void)load_mutation_trace(path);
+    } catch (const std::invalid_argument& error) {
+      return std::string(error.what());
+    }
+    return std::string();
+  };
+  // A record at a given step.
+  const auto step_line = [](std::uint64_t step, const char* rest) {
+    return R"({"step": )" + std::to_string(step) + rest;
+  };
+  const struct {
+    std::string line;
+    std::string expect;
+  } cases[] = {
+      {R"({"step": 1, "op": "add", "u": 4294967296, "v": 1})",
+       ":2: trace field 'u'"},
+      {R"({"step": 1, "op": "remove", "u": 0, "v": 18446744073709551615})",
+       ":2: trace field 'v'"},
+      {R"({"step": 18446744073709551615, "op": "add", "u": 0, "v": 1})",
+       ":2: trace step 18446744073709551615 exceeds"},
+      {step_line(kMaxTraceStep + 1, R"(, "op": "add", "u": 0, "v": 1})"),
+       ":2: trace step " + std::to_string(kMaxTraceStep + 1) + " exceeds"},
+  };
+  for (const auto& c : cases) {
+    const auto message = message_for(c.line);
+    EXPECT_NE(message.find(path + c.expect), std::string::npos)
+        << c.line << " reported: " << message;
+  }
+  // The largest id and the bound itself still load.
+  EXPECT_EQ(message_for(step_line(
+                kMaxTraceStep, R"(, "op": "fail", "u": 4294967295, "v": 0})")),
+            "");
+  const auto steps = load_mutation_trace(path);
+  ASSERT_EQ(steps.size(), kMaxTraceStep + 1);
+  ASSERT_EQ(steps.back().size(), 1u);
+  EXPECT_EQ(steps.back()[0].u, 4294967295u);
   std::remove(path.c_str());
 }
 

@@ -8,14 +8,6 @@
 namespace nav::graph {
 namespace {
 
-/// A BFS truncated at `radius` (the workspace's bounded kernel).
-std::vector<Dist> bounded_distances(const Graph& g, NodeId source,
-                                    Dist radius) {
-  std::vector<Dist> dist(g.num_nodes());
-  local_bfs_workspace().distances_into(g, source, dist, radius);
-  return dist;
-}
-
 TEST(Bfs, PathDistances) {
   const auto g = make_path(5);
   const auto d = bfs_distances(g, 0);
@@ -26,21 +18,6 @@ TEST(Bfs, UnreachableIsInf) {
   Graph g(3, {{0, 1}});
   const auto d = bfs_distances(g, 0);
   EXPECT_EQ(d[2], kInfDist);
-}
-
-TEST(Bfs, BoundedStopsAtRadius) {
-  const auto g = make_path(10);
-  const auto d = bounded_distances(g, 0, 3);
-  EXPECT_EQ(d[3], 3u);
-  EXPECT_EQ(d[4], kInfDist);
-}
-
-TEST(Bfs, BoundedZeroRadiusOnlySource) {
-  const auto g = make_path(4);
-  const auto d = bounded_distances(g, 2, 0);
-  EXPECT_EQ(d[2], 0u);
-  EXPECT_EQ(d[1], kInfDist);
-  EXPECT_EQ(d[3], kInfDist);
 }
 
 TEST(Ball, SizesOnPath) {
@@ -73,7 +50,7 @@ TEST(Ball, GridBallCountsMatchManhattan) {
 
 TEST(FarthestNode, PathEndpoint) {
   const auto g = make_path(8);
-  const auto far = farthest_node(g, 3);
+  const auto far = local_bfs_workspace().farthest(g, 3);
   EXPECT_EQ(far.node, 7u);
   EXPECT_EQ(far.distance, 4u);
 }

@@ -102,27 +102,13 @@ std::vector<NodeId> sample_sources(const Graph& g) {
   return sources;
 }
 
-TEST(BfsEngine, ScalarKernelMatchesReferenceAllRadii) {
-  BfsWorkspace ws;
-  for (const auto& [name, g] : differential_graphs()) {
-    std::vector<Dist> out(g.num_nodes());
-    for (const NodeId s : sample_sources(g)) {
-      for (const Dist radius : {Dist{0}, Dist{1}, Dist{3}, Dist{17}, kInfDist}) {
-        const auto expect = bfs_distances_reference(g, s, radius);
-        ws.distances_into_scalar(g, s, out, radius);
-        EXPECT_EQ(out, expect) << name << " source=" << s << " r=" << radius;
-      }
-    }
-  }
-}
-
 TEST(BfsEngine, DirectionOptimizingMatchesReference) {
   BfsWorkspace ws;
   for (const auto& [name, g] : differential_graphs()) {
     std::vector<Dist> out(g.num_nodes());
     for (const NodeId s : sample_sources(g)) {
       const auto expect = bfs_distances_reference(g, s);
-      ws.distances_into(g, s, out);  // full sweep: direction-optimizing path
+      (void)ws.row_into<Dist>(g, s, out);  // direction-optimizing past the gate
       EXPECT_EQ(out, expect) << name << " source=" << s;
     }
   }
@@ -210,7 +196,7 @@ TEST(BfsEngine, FlipScheduleMatchesEagerBookkeeping) {
     std::vector<Dist> out(g.num_nodes());
     for (const NodeId s : sample_sources(g)) {
       const auto [flips, bottom_up_levels] = reference_flip_schedule(g, s);
-      ws.distances_into(g, s, out);
+      (void)ws.row_into<Dist>(g, s, out);
       EXPECT_EQ(ws.last_flip_count(), flips) << name << " source=" << s;
       EXPECT_EQ(ws.last_bottom_up_levels(), bottom_up_levels)
           << name << " source=" << s;
@@ -221,7 +207,7 @@ TEST(BfsEngine, FlipScheduleMatchesEagerBookkeeping) {
   // again in the second cluster.
   for (const auto& [name, g] : flipping) {
     std::vector<Dist> out(g.num_nodes());
-    ws.distances_into(g, 0, out);
+    (void)ws.row_into<Dist>(g, 0, out);
     EXPECT_GE(ws.last_flip_count(), 1u) << name;
     if (name == "two_clusters") {
       EXPECT_EQ(ws.last_flip_count(), 2u);
@@ -392,52 +378,49 @@ TEST(BfsEngine, KernelsValidateArguments) {
   BfsWorkspace ws;
   std::vector<Dist> out(4);
   std::vector<Dist> wrong(3);
-  EXPECT_THROW(ws.distances_into(g, 9, out), std::invalid_argument);
-  EXPECT_THROW(ws.distances_into(g, 0, wrong), std::invalid_argument);
-  EXPECT_THROW(ws.ball(g, 4, 1), std::invalid_argument);
+  EXPECT_THROW((void)ws.row_into<Dist>(g, 9, out), std::invalid_argument);
+  EXPECT_THROW((void)ws.row_into<Dist>(g, 0, wrong), std::invalid_argument);
+  EXPECT_THROW((void)ws.ball(g, 4, 1), std::invalid_argument);
   EXPECT_THROW((void)ws.farthest(g, 7), std::invalid_argument);
 }
 
 TEST(BfsEngine, SparseDenseCutoverIsExplicit) {
-  // The dispatch decision is observable via last_sweep_kind(): radii that
-  // cannot bind (>= n-1) are promoted to the unbounded kernel instead of
-  // silently degrading to a bounded scan of the whole graph, and the
-  // direction-optimizing gate stays pinned to the n/edge thresholds.
+  // row_into's dispatch is observable via last_sweep_kind() and the
+  // per-kind tallies: the direction-optimizing kernel runs exactly on graphs
+  // that clear both size thresholds (n >= 1024 and >= 4096 directed edges),
+  // the scalar top-down sweep below them, at every width, with the same
+  // rows either way.
   BfsWorkspace ws;
   const auto big = make_grid2d(40, 40);  // clears the diropt gate (n=1600)
-  const NodeId n = big.num_nodes();
-  std::vector<Dist> out(n);
-
-  ws.distances_into(big, 0, out);
+  std::vector<Dist> out(big.num_nodes());
+  (void)ws.row_into<Dist>(big, 0, out);
   EXPECT_EQ(ws.last_sweep_kind(),
             BfsWorkspace::SweepKind::kDirectionOptimizing);
-  ws.distances_into(big, 0, out, 3);
-  EXPECT_EQ(ws.last_sweep_kind(), BfsWorkspace::SweepKind::kScalarBounded);
-  // radius n-2 is the largest value that still dispatches bounded...
-  ws.distances_into(big, 0, out, static_cast<Dist>(n - 2));
-  EXPECT_EQ(ws.last_sweep_kind(), BfsWorkspace::SweepKind::kScalarBounded);
-  // ...and n-1 (or anything larger) promotes to the full sweep, with output
-  // identical to the bounded semantics it replaces.
-  for (const Dist r : {static_cast<Dist>(n - 1), static_cast<Dist>(n),
-                       static_cast<Dist>(3 * n)}) {
-    ws.distances_into(big, 0, out, r);
-    EXPECT_EQ(ws.last_sweep_kind(),
-              BfsWorkspace::SweepKind::kDirectionOptimizing)
-        << "r=" << r;
-    EXPECT_EQ(out, bfs_distances_reference(big, 0, r)) << "r=" << r;
-  }
+  EXPECT_EQ(out, bfs_distances_reference(big, 0));
+  std::vector<std::uint8_t> narrow(big.num_nodes());
+  EXPECT_FALSE(ws.row_into(big, 0, std::span<std::uint8_t>(narrow)));
+  EXPECT_EQ(ws.last_sweep_kind(),
+            BfsWorkspace::SweepKind::kDirectionOptimizing);
 
-  // Below the gate the full sweep stays scalar — including promoted radii.
+  // Below the node threshold the sweep stays scalar.
   const auto tiny = make_path(64);
   std::vector<Dist> tout(64);
-  ws.distances_into(tiny, 0, tout);
-  EXPECT_EQ(ws.last_sweep_kind(), BfsWorkspace::SweepKind::kScalarFull);
-  ws.distances_into(tiny, 0, tout, 63);  // n-1: promoted, still scalar full
+  (void)ws.row_into<Dist>(tiny, 0, tout);
   EXPECT_EQ(ws.last_sweep_kind(), BfsWorkspace::SweepKind::kScalarFull);
   EXPECT_EQ(tout, bfs_distances_reference(tiny, 0));
-  ws.distances_into(tiny, 0, tout, 62);  // n-2: binds, bounded
-  EXPECT_EQ(ws.last_sweep_kind(), BfsWorkspace::SweepKind::kScalarBounded);
-  EXPECT_EQ(tout, bfs_distances_reference(tiny, 0, 62));
+
+  // Enough nodes but too few edges (a 1500-path has 2998 directed edges):
+  // still scalar.
+  const auto sparse = make_path(1500);
+  std::vector<std::uint16_t> srow(sparse.num_nodes());
+  EXPECT_FALSE(ws.row_into(sparse, 0, std::span<std::uint16_t>(srow)));
+  EXPECT_EQ(ws.last_sweep_kind(), BfsWorkspace::SweepKind::kScalarFull);
+
+  // A fresh workspace's tallies count exactly the sweeps it ran.
+  using SweepKind = BfsWorkspace::SweepKind;
+  EXPECT_EQ(ws.sweep_count(SweepKind::kDirectionOptimizing), 2u);
+  EXPECT_EQ(ws.sweep_count(SweepKind::kScalarFull), 2u);
+  EXPECT_EQ(ws.sweep_count(SweepKind::kNone), 0u);
 }
 
 TEST(BfsEngine, LocalWorkspaceIsPerThread) {

@@ -79,13 +79,21 @@ TEST(DistSlab, MatrixWidthsAreBitIdentical) {
 }
 
 TEST(DistSlab, NarrowMatrixGuardsSlabAccess) {
+  // packed_slab() is the one slab view: n*n entries at the matrix's width.
   const auto g = make_cycle(16);
   const DistanceMatrix narrow(g, DistWidth::kU8);
-  EXPECT_THROW((void)narrow.slab(), std::invalid_argument);
   EXPECT_EQ(narrow.packed_slab().size(),
             static_cast<std::size_t>(16) * 16);
   const DistanceMatrix wide(g);
-  EXPECT_EQ(wide.slab().size(), wide.packed_slab().size() / sizeof(Dist));
+  EXPECT_EQ(wide.packed_slab().size(),
+            static_cast<std::size_t>(16) * 16 * sizeof(Dist));
+  // Same entries at both widths (every distance on a 16-cycle fits u8).
+  const auto bytes = narrow.packed_slab();
+  const auto* entries =
+      reinterpret_cast<const Dist*>(wide.packed_slab().data());
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    ASSERT_EQ(Dist{bytes[i]}, entries[i]) << "entry " << i;
+  }
 }
 
 TEST(DistSlab, MatrixSaturationThrows) {

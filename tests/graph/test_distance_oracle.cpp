@@ -12,14 +12,19 @@
 namespace nav::graph {
 namespace {
 
-std::uint64_t fnv1a(std::span<const Dist> data) {
+std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
   std::uint64_t h = 1469598103934665603ull;
-  const auto* bytes = reinterpret_cast<const unsigned char*>(data.data());
-  for (std::size_t i = 0; i < data.size_bytes(); ++i) {
-    h ^= bytes[i];
+  for (const std::uint8_t byte : bytes) {
+    h ^= byte;
     h *= 1099511628211ull;
   }
   return h;
+}
+
+/// The hash of a u32 slab's bytes, as packed_slab() stores them.
+std::uint64_t fnv1a(const std::vector<Dist>& slab) {
+  return fnv1a({reinterpret_cast<const std::uint8_t*>(slab.data()),
+                slab.size() * sizeof(Dist)});
 }
 
 TEST(DistanceMatrix, MatchesBfs) {
@@ -171,7 +176,7 @@ TEST(DistanceMatrixDeterminism, SlabHashIndependentOfWorkerCount) {
   const Graph g = make_connected_gnp(500, 6.0 / 500.0, rng);
   const std::vector<Dist> expect = reference_slab(g);
   const DistanceMatrix dm(g);
-  ASSERT_EQ(dm.slab().size(), expect.size());
+  ASSERT_EQ(dm.packed_slab().size(), expect.size() * sizeof(Dist));
   for (NodeId t = 0; t < g.num_nodes(); ++t) {
     ASSERT_TRUE(*dm.distances_to(t) ==
                 std::span<const Dist>(expect).subspan(
@@ -179,7 +184,7 @@ TEST(DistanceMatrixDeterminism, SlabHashIndependentOfWorkerCount) {
                     g.num_nodes()))
         << "target=" << t;
   }
-  EXPECT_EQ(fnv1a(dm.slab()), fnv1a(expect));
+  EXPECT_EQ(fnv1a(dm.packed_slab()), fnv1a(expect));
 }
 
 TEST(DistanceMatrixDeterminism, RepeatedBuildsAndRebuildsHashIdentical) {
@@ -187,15 +192,15 @@ TEST(DistanceMatrixDeterminism, RepeatedBuildsAndRebuildsHashIdentical) {
   const Graph g = make_connected_gnp(400, 5.0 / 400.0, rng);
   const std::uint64_t reference_hash = fnv1a(reference_slab(g));
   const DistanceMatrix first(g);
-  ASSERT_EQ(fnv1a(first.slab()), reference_hash);
+  ASSERT_EQ(fnv1a(first.packed_slab()), reference_hash);
   for (int run = 0; run < 3; ++run) {
     DistanceMatrix dm(g);
-    ASSERT_EQ(fnv1a(dm.slab()), reference_hash) << "build " << run;
+    ASSERT_EQ(fnv1a(dm.packed_slab()), reference_hash) << "build " << run;
     dm.rebuild_all(g);
-    ASSERT_EQ(fnv1a(dm.slab()), reference_hash) << "rebuild " << run;
+    ASSERT_EQ(fnv1a(dm.packed_slab()), reference_hash) << "rebuild " << run;
     const std::vector<NodeId> some{0, 13, 399, 200};
     dm.rebuild_rows(g, some);
-    ASSERT_EQ(fnv1a(dm.slab()), reference_hash) << "row rebuild " << run;
+    ASSERT_EQ(fnv1a(dm.packed_slab()), reference_hash) << "row rebuild " << run;
   }
 }
 

@@ -199,6 +199,39 @@ TEST(EdgeList, MalformedInputMatrix) {
   }
 }
 
+TEST(EdgeList, RejectsNodeCountAtTheNoNodeSentinel) {
+  // n = 2^32 - 1 is kNoNode: its n + 1 CSR offsets would wrap to 0. Both
+  // parsers reject it with a located diagnostic before any allocation.
+  const struct {
+    const char* text;
+    const char* anchor;
+  } cases[] = {
+      {"nav-graph 1\nn 4294967295\n", "<in>:2: node count too large"},
+      {"nav-graph 1\nn 4294967296\n", "<in>:2: node count too large"},
+      {"p edge 4294967295 0\n", "<in>:1: node count too large"},
+      {"c big\np edge 4294967295 0\n", "<in>:2: node count too large"},
+  };
+  for (const auto& c : cases) {
+    std::stringstream in(c.text);
+    const auto message =
+        thrown_message([&] { (void)load_edge_list(in, "<in>"); });
+    EXPECT_NE(message.find(c.anchor), std::string::npos)
+        << "input " << ::testing::PrintToString(c.text) << " reported: "
+        << message;
+  }
+  std::stringstream native("nav-graph 1\nn 4294967295\n");
+  const auto message = thrown_message([&] { (void)read_graph(native); });
+  EXPECT_NE(message.find("<stream>:2: node count too large"),
+            std::string::npos)
+      << message;
+}
+
+TEST(GraphIo, GraphConstructorRejectsTheNoNodeSentinelCount) {
+  // The constructor guards every other path to a Graph (builders, tests).
+  EXPECT_THROW(Graph(kNoNode, {}), std::invalid_argument);
+  EXPECT_THROW(Graph(kNoNode, {{0, 1}}), std::invalid_argument);
+}
+
 TEST(EdgeList, DimacsEdgeBeforeProblemLineThrows) {
   std::stringstream in("c header\ne 1 2\np edge 2 1\n");
   const auto message =

@@ -144,7 +144,7 @@ TEST(LandmarkOracle, RowsStoredAtNaturalWidth) {
   // Landmark rows take the narrowest width holding every landmark's
   // eccentricity; the field reads the same at any width.
   const auto grid = make_grid2d(12, 10);
-  EXPECT_EQ(LandmarkOracle(grid, with_k(6)).width(), DistWidth::kU8);
+  EXPECT_EQ(LandmarkOracle(grid, with_k(6)).landmark_width(), DistWidth::kU8);
   // A star hub in the middle of a 400-node path: the seed landmark (the
   // hub) has eccentricity under 255, but the next one (a path end) does
   // not, so selection saturates u8 at the second row and retries at u16.
@@ -154,7 +154,7 @@ TEST(LandmarkOracle, RowsStoredAtNaturalWidth) {
   for (const auto selection :
        {LandmarkSelection::kFarthest, LandmarkSelection::kDegree}) {
     const LandmarkOracle oracle(broom, with_k(4, selection));
-    EXPECT_EQ(oracle.width(), DistWidth::kU16);
+    EXPECT_EQ(oracle.landmark_width(), DistWidth::kU16);
     EXPECT_EQ(oracle.num_landmarks(), 4u);
     if (selection == LandmarkSelection::kFarthest) {
       EXPECT_EQ(oracle.landmarks()[0], 200u);  // the hub seeds the traversal
@@ -167,7 +167,7 @@ TEST(LandmarkOracle, RowsStoredAtNaturalWidth) {
   // Past u16: a path longer than 65535 nodes stores u32 rows.
   const auto long_path = make_path(70000);
   const LandmarkOracle wide(long_path, with_k(2));
-  EXPECT_EQ(wide.width(), DistWidth::kU32);
+  EXPECT_EQ(wide.landmark_width(), DistWidth::kU32);
   EXPECT_TRUE(*wide.distances_to(12345) ==
               reference_field(long_path, wide, 12345));
 }

@@ -1,9 +1,11 @@
 // bfs_reference.hpp — the seed repo's allocating scalar BFS kernels.
 //
 // Kept verbatim as the baseline the BfsWorkspace kernels are pinned against:
-// the differential tests compare every engine kernel with them, the
-// counting-allocator suite uses them to prove the counter counts, and
-// bench_micro M1 times bfs_distances_reference as the "pre-engine" point.
+// the differential tests compare row_into with bfs_distances_reference and
+// ball with ball_reference, the landmark tests build the exact patch on
+// B(t, 2) with a truncated bfs_distances_reference, the counting-allocator
+// suite uses them to prove the counter counts, and bench_micro M1 times
+// bfs_distances_reference as the "pre-engine" point.
 // Test and bench support only; library code uses graph/bfs_engine.hpp.
 #pragma once
 
@@ -15,8 +17,9 @@
 
 namespace nav::graph {
 
-/// Allocating scalar BFS; bit-identical output to
-/// BfsWorkspace::distances_into.
+/// Allocating scalar BFS; bit-identical output to BfsWorkspace::row_into<Dist>.
+/// A finite radius truncates it (nodes farther away keep kInfDist): the
+/// landmark tests' reference for the exact patch on B(t, radius).
 inline std::vector<Dist> bfs_distances_reference(const Graph& g,
                                                 NodeId source,
                                                 Dist radius = kInfDist) {

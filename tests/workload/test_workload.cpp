@@ -10,7 +10,7 @@
 #include <set>
 #include <unordered_map>
 
-#include "graph/bfs_engine.hpp"
+#include "graph/bfs.hpp"
 #include "graph/families.hpp"
 #include "graph/generators.hpp"
 #include "routing/trial_runner.hpp"
@@ -84,8 +84,7 @@ TEST(Workload, LocalPairsStayWithinRadius) {
   const auto local = make_workload("local:3", g, Rng(0));
   Rng rng(5);
   for (const auto& [s, t] : local->batch(60, rng)) {
-    std::vector<graph::Dist> dist(g.num_nodes());
-    graph::local_bfs_workspace().distances_into(g, s, dist, 3);
+    const auto dist = graph::bfs_distances(g, s);
     ASSERT_NE(dist[t], graph::kInfDist);
     EXPECT_LE(dist[t], 3u);
     EXPECT_GE(dist[t], 1u);
@@ -155,6 +154,41 @@ TEST(Workload, TraceRejectsBadContent) {
                std::invalid_argument);
   std::remove(path.c_str());
   EXPECT_THROW((void)load_trace(path), std::runtime_error);
+}
+
+TEST(Workload, TraceRejectsIdsThatDoNotFitANodeId) {
+  // 4294967296 = 2^32 does not fit a NodeId; a cast would replay it as node
+  // 0. The error names the file and line.
+  const auto g = graph::make_path(10);
+  const std::string path =
+      ::testing::TempDir() + "test_workload_wide_trace.jsonl";
+  const auto message_for = [&](const char* text) -> std::string {
+    {
+      std::ofstream out(path);
+      out << text;
+    }
+    try {
+      (void)load_trace(path);
+    } catch (const std::invalid_argument& error) {
+      EXPECT_THROW((void)make_workload("trace:" + path, g, Rng(0)),
+                   std::invalid_argument);
+      return error.what();
+    }
+    return "";
+  };
+  auto message = message_for(R"({"s": 4294967296, "t": 1})"
+                             "\n"
+                             R"({"s": 2, "t": 3})"
+                             "\n");
+  EXPECT_NE(message.find(path + ":1: trace field 's'"), std::string::npos)
+      << message;
+  message = message_for(R"({"s": 2, "t": 3})"
+                        "\n"
+                        R"({"s": 0, "t": 18446744073709551615})"
+                        "\n");
+  EXPECT_NE(message.find(path + ":2: trace field 't'"), std::string::npos)
+      << message;
+  std::remove(path.c_str());
 }
 
 TEST(Workload, RejectsMalformedSpecs) {
